@@ -288,7 +288,6 @@ class Cohomology:
     _u: tuple = ()
     _u_inv: tuple = ()
     _keep: tuple = ()
-    _pivot_rows: tuple = ()       # (col_index, V^-1 row) pairs for cocycle checking
 
     def representative(self, j: int):
         """Dense cocycle vector representing the j-th canonical generator."""
@@ -315,9 +314,6 @@ class Cohomology:
             full = sum(self._u[col][t] * y[t] for t in range(k))
             coords.append(full % self.group.factors[idx])
         return self.group.element(tuple(coords))
-
-    def zero_class(self) -> AbElement:
-        return self.group.zero()
 
 
 def _invariants_rank(lattice: GLattice) -> int:
@@ -353,10 +349,8 @@ def cohomology(lattice: GLattice, q: int,
     cols, _ = _differential_columns(lattice, q)
     v_cols, v_inv, kernel = _column_reduce(cols)
     k = len(kernel)
-    kernel_set = set(kernel)
     kernel_rows = tuple(v_inv[j] for j in kernel)
     kernel_cols = tuple(v_cols[j] for j in kernel)
-    pivots = tuple((j, v_inv[j]) for j in range(dim) if j not in kernel_set)
     # previous differential in V coordinates: y = V^-1 * d_{q-1}
     prev_cols, prev_n = _differential_columns(lattice, q - 1)
     needed = set()
@@ -393,8 +387,7 @@ def cohomology(lattice: GLattice, q: int,
     fin = FinAb(tuple(diag[i] for i in keep))
     return Cohomology(lattice, q, fin, 0, _dim=dim,
                       _kernel_rows=kernel_rows, _kernel_cols=kernel_cols,
-                      _u=form.u, _u_inv=form.u_inv, _keep=keep,
-                      _pivot_rows=pivots)
+                      _u=form.u, _u_inv=form.u_inv, _keep=keep)
 
 
 # ---------------------------------------------------------------------------

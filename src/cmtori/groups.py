@@ -1,17 +1,23 @@
 """Finite groups as dense Cayley tables, hard-capped at order 512.
 
-Elements are the indices 0..order-1.  Groups are immutable; every
-constructor validates the Latin-square and associativity axioms
-exhaustively.  Subgroups are sorted element tuples, and conjugacy-class
-representatives are chosen as the lexicographically least element list, so
-every enumeration here is deterministic across runs.
+Elements are the indices 0..order-1.  Groups are immutable, and
+``from_table`` is their only constructor.  It checks that the table is a
+Latin square with a two-sided identity, then checks associativity by
+Light's test (Clifford-Preston, *Algebraic Theory of Semigroups* I,
+§1.2): the elements a with (x*a)*y == x*(a*y) for all x, y are closed
+under products, so checking them for a set of elements whose right
+products from the identity reach the whole table proves the table
+associative.  For a group such a set has at most log2(order) elements.
+Subgroups are sorted element tuples, and conjugacy-class representatives
+are chosen as the lexicographically least element list, so every
+enumeration here is deterministic across runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,41 +27,96 @@ from .errors import ConstructionError
 MAX_ORDER = 512
 
 
-def _analyze_table(table):
-    """Validate a Cayley table; return (identity, inverses)."""
-    n = len(table)
-    if n == 0:
-        raise ConstructionError("empty table")
+def _check_order(n: int):
+    """Reject an order above the cap before any table of that size is built."""
     if n > MAX_ORDER:
         raise ConstructionError("group order exceeds the hard cap", order=n, cap=MAX_ORDER)
-    t = np.asarray(table, dtype=np.int64)
-    if t.shape != (n, n):
-        raise ConstructionError("table is not square", shape=list(t.shape))
-    if t.min() < 0 or t.max() >= n:
-        raise ConstructionError("table entry out of range")
-    ref = np.arange(n)
-    for i in range(n):
-        if not (np.array_equal(np.sort(t[i]), ref) and np.array_equal(np.sort(t[:, i]), ref)):
-            raise ConstructionError("table is not a Latin square", line=i)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], ref) and np.array_equal(t[:, e], ref):
-            identity = e
-            break
-    if identity is None:
-        raise ConstructionError("no two-sided identity")
-    # associativity: (a*b)*c == a*(b*c), checked in chunks of rows
-    for a in range(n):
+
+
+def _right_closure(table, reached, frontier, gens, inside=None) -> bool:
+    """Add to ``reached`` every right product of ``frontier`` by ``gens``.
+
+    Returns False as soon as a product falls outside ``inside`` (if given).
+    """
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row = table[a]
+            for s in gens:
+                c = row[s]
+                if c not in reached:
+                    if inside is not None and c not in inside:
+                        return False
+                    reached.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return True
+
+
+def _greedy_generators(table, identity, elements, inside=None):
+    """Generators from ``elements`` whose right products from the identity
+    reach all of them, each the least element not reached before it.
+
+    None when the elements cannot form a group under the table: a right
+    product falls outside ``inside``, or a generator fails to double the
+    elements reached, as each one must in a group.  So at most
+    log2(len(elements)) generators are ever taken.
+    """
+    reached = {identity}
+    gens = []
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            if (not _right_closure(table, reached, list(reached), gens, inside)
+                    or len(reached) < 2 ** len(gens)):
+                return None
+    return gens
+
+
+def _first_nonassociative_triple(t):
+    """The least (a, b, c) in row-major order with (a*b)*c != a*(b*c)."""
+    for a in range(len(t)):
         left = t[t[a]]          # left[b, c] = t[t[a, b], c]
         right = t[a][t]         # right[b, c] = t[a, t[b, c]]
         if not np.array_equal(left, right):
             b, c = np.argwhere(left != right)[0]
-            raise ConstructionError(
-                "associativity fails", triple=[int(a), int(b), int(c)])
-    inverses = [0] * n
-    for g in range(n):
-        inverses[g] = int(np.nonzero(t[g] == identity)[0][0])
-    return identity, tuple(inverses)
+            return [int(a), int(b), int(c)]
+
+
+def _analyze_table(table):
+    """Validate a Cayley table; return (rows, identity, inverses).
+
+    ``rows`` is the table as nested tuples whose entries are shared int
+    objects, so a stored table costs one pointer per entry.
+    """
+    n = len(table)
+    if n == 0:
+        raise ConstructionError("empty table")
+    _check_order(n)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            if all(len(other) == len(row) for other in table):
+                raise ConstructionError("table is not square", shape=[n, len(row)])
+            raise ConstructionError("table is not square", row=i, length=len(row))
+    t = np.asarray(table, dtype=np.int64)
+    if t.min() < 0 or t.max() >= n:
+        raise ConstructionError("table entry out of range")
+    ref = np.arange(n)
+    latin = (np.sort(t, axis=1) == ref).all(axis=1) & (np.sort(t.T, axis=1) == ref).all(axis=1)
+    if not latin.all():
+        raise ConstructionError("table is not a Latin square", line=int(np.argmin(latin)))
+    two_sided = (t == ref).all(axis=1) & (t.T == ref).all(axis=1)
+    if not two_sided.any():
+        raise ConstructionError("no two-sided identity")
+    ints = list(range(n))
+    rows = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in t)
+    identity = ints[int(np.argmax(two_sided))]
+    # Light's test; an associative Latin square with identity is a group
+    gens = _greedy_generators(rows, identity, ints)
+    if gens is None or any(not np.array_equal(t[t[:, a]], t[:, t[a]]) for a in gens):
+        raise ConstructionError("associativity fails", triple=_first_nonassociative_triple(t))
+    inverses = tuple(ints[i] for i in np.argmax(t == identity, axis=1).tolist())
+    return rows, identity, inverses
 
 
 @dataclass(frozen=True)
@@ -78,10 +139,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverses[g]]
-
-    def commutator(self, g: int, h: int) -> int:
-        t = self.table
-        return t[t[g][h]][t[self.inverses[g]][self.inverses[h]]]
 
     def elements(self) -> range:
         return range(self.order)
@@ -112,41 +169,51 @@ class FiniteGroup:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
 
+    @cached_property
+    def center_transversal(self) -> tuple[int, ...]:
+        """The least element of each coset of the center, in increasing order."""
+        z = center(self).elements
+        reps, seen = [], set()
+        for g in self.elements():
+            if g not in seen:
+                reps.append(g)
+                seen.update(self.table[g][c] for c in z)
+        return tuple(reps)
+
+    @cached_property
+    def _hash(self) -> int:
+        # the name enters equality, so equal tables under different names
+        # must not collide in the caches keyed on groups
+        return hash((self.table, self.identity, self.name))
+
     def __hash__(self):
-        return hash((self.table, self.identity))
+        return self._hash
 
 
 def from_table(table, name: str = "") -> FiniteGroup:
-    table = tuple(tuple(int(x) for x in row) for row in table)
-    identity, inverses = _analyze_table(table)
-    return FiniteGroup(table, identity, inverses, name)
+    """The group of a Cayley table (any nested sequence or 2-d array of ints)."""
+    return FiniteGroup(*_analyze_table(table), name)
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ConstructionError("cyclic group needs order >= 1", n=n)
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return from_table(table, f"C{n}")
+    _check_order(n)
+    a = np.arange(n)
+    return from_table((a[:, None] + a) % n, f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections."""
     if n < 1:
         raise ConstructionError("dihedral group needs n >= 1", n=n)
-
-    def mul(a, b):
-        ra, fa = a % n, a >= n
-        rb, fb = b % n, b >= n
-        if not fa and not fb:
-            return (ra + rb) % n
-        if not fa and fb:
-            return n + (rb - ra) % n
-        if fa and not fb:
-            return n + (ra + rb) % n
-        return (rb - ra) % n
-
-    table = tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
-    return from_table(table, f"D{n}")
+    _check_order(2 * n)
+    # a * b turns by rot(b) +- rot(a), minus when b is a reflection, and
+    # is a reflection when exactly one of a, b is
+    idx = np.arange(2 * n)
+    rot, refl = idx % n, idx >= n
+    turn = (rot + np.where(refl, -1, 1) * rot[:, None]) % n
+    return from_table(turn + n * (refl[:, None] ^ refl), f"D{n}")
 
 
 def quaternion8() -> FiniteGroup:
@@ -181,9 +248,11 @@ def units_mod(n: int) -> FiniteGroup:
     residues = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
     if n == 1:
         residues = [1]
-    index = {a: i for i, a in enumerate(residues)}
-    table = tuple(tuple(index[(a * b) % n if n > 1 else 1] for b in residues) for a in residues)
-    g = from_table(table, f"units_mod_{n}")
+    _check_order(len(residues))
+    res = np.array(residues)
+    index = np.zeros(n, dtype=np.int64)
+    index[res % n] = np.arange(len(residues))  # mod n: for n = 1 the residue 1 is 0
+    g = from_table(index[np.outer(res, res) % n], f"units_mod_{n}")
     object.__setattr__(g, "_residues", tuple(residues))
     return g
 
@@ -212,11 +281,6 @@ class ProductGroup:
             out.append(r)
         return tuple(reversed(out))
 
-    def embed(self, i: int, gi: int, identities) -> int:
-        parts = list(identities)
-        parts[i] = gi
-        return self.pack(parts)
-
 
 def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
     orders = tuple(g.order for g in factors)
@@ -224,29 +288,15 @@ def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
     if total > MAX_ORDER:
         raise ConstructionError("product order exceeds the hard cap", order=total)
 
-    strides = []
-    s = 1
-    for n in reversed(orders):
-        strides.append(s)
-        s *= n
-    strides = tuple(reversed(strides))
-
-    def unpack(g):
-        return tuple((g // st) % n for st, n in zip(strides, orders))
-
-    def pack(parts):
-        return sum(p * st for p, st in zip(parts, strides))
-
-    table = []
-    for a in range(total):
-        pa = unpack(a)
-        row = []
-        for b in range(total):
-            pb = unpack(b)
-            row.append(pack(tuple(f.mul(x, y) for f, x, y in zip(factors, pa, pb))))
-        table.append(tuple(row))
+    # element index = sum of factor parts times strides, last factor fastest
+    table = np.zeros((total, total), dtype=np.int64)
+    stride = total
+    for f, n in zip(factors, orders):
+        stride //= n
+        part = np.arange(total) // stride % n
+        table += stride * np.array(f.table)[part[:, None], part]
     label = name or "x".join(f.name or "?" for f in factors)
-    return ProductGroup(from_table(tuple(table), label), orders)
+    return ProductGroup(from_table(table, label), orders)
 
 
 def _perm_from_cycles(cycles, degree):
@@ -336,6 +386,9 @@ class Subgroup:
         mem = set(elems)
         if g.identity not in mem:
             raise ConstructionError("subgroup misses the identity")
+        if _greedy_generators(g.table, g.identity, elems, mem) is not None:
+            return
+        # not closed under products: name the first failure in row-major order
         for a in elems:
             if g.inverses[a] not in mem:
                 raise ConstructionError("subgroup not closed under inverse", element=a)
@@ -370,25 +423,20 @@ class Subgroup:
 
 @lru_cache(maxsize=4096)
 def _subgroup_as_group(group: FiniteGroup, elements: tuple[int, ...]):
-    index = {g: i for i, g in enumerate(elements)}
-    table = tuple(tuple(index[group.table[a][b]] for b in elements) for a in elements)
-    sub = from_table(table)
+    local = np.zeros(group.order, dtype=np.int64)
+    local[list(elements)] = np.arange(len(elements))
+    sub = from_table(local[np.array([group.table[a] for a in elements])[:, elements]])
     return sub, elements
 
 
 def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
+    """The subgroup generated by ``gens``, as a sorted element tuple.
+
+    Right products of the generators from the identity suffice: in a finite
+    group every inverse is a positive power.
+    """
     elems = {group.identity}
-    frontier = list(set(gens))
-    elems.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (group.table[a][b], group.table[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
+    _right_closure(group.table, elems, [group.identity], set(gens))
     return tuple(sorted(elems))
 
 
@@ -444,10 +492,8 @@ def conjugacy_classes(group: FiniteGroup):
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    t = group.table
-    elems = [g for g in group.elements()
-             if all(t[g][h] == t[h][g] for h in group.elements())]
-    return Subgroup(group, tuple(elems))
+    t = np.array(group.table)
+    return Subgroup(group, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
 
 
 def conjugate_subgroup(group: FiniteGroup, s: Subgroup, g: int) -> Subgroup:
@@ -455,18 +501,19 @@ def conjugate_subgroup(group: FiniteGroup, s: Subgroup, g: int) -> Subgroup:
 
 
 def canonical_conjugate(group: FiniteGroup, s: Subgroup) -> Subgroup:
+    """The least conjugate of ``s``.
+
+    Conjugating by a transversal of the center reaches every conjugate,
+    since central elements conjugate trivially.
+    """
     best = min(tuple(sorted(group.conj(g, x) for x in s.elements))
-               for g in group.elements())
+               for g in group.center_transversal)
     return Subgroup(group, best)
 
 
 def dedupe_up_to_conjugacy(group: FiniteGroup, subgroups):
     reps = {canonical_conjugate(group, s).elements for s in subgroups}
     return [Subgroup(group, e) for e in sorted(reps, key=lambda e: (len(e), e))]
-
-
-def are_conjugate(group: FiniteGroup, a: Subgroup, b: Subgroup) -> bool:
-    return canonical_conjugate(group, a).elements == canonical_conjugate(group, b).elements
 
 
 def cyclic_subgroups_up_to_conjugacy(group: FiniteGroup):
@@ -526,34 +573,13 @@ def quotient_group(group: FiniteGroup, n: Subgroup) -> QuotientGroup:
         for g in cs:
             proj[g] = i
     reps = tuple(cs[0] for cs in parts)
-    table = tuple(tuple(proj[group.table[reps[a]][reps[b]]] for b in range(len(parts)))
-                  for a in range(len(parts)))
+    table = np.array(proj)[np.array([group.table[r] for r in reps])[:, reps]]
     return QuotientGroup(from_table(table), tuple(proj), reps)
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms and abelianization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupHom:
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.domain.order:
-            raise ConstructionError("image list has wrong length")
-        td, tc = self.domain.table, self.codomain.table
-        im = self.images
-        for a in self.domain.elements():
-            for b in self.domain.elements():
-                if im[td[a][b]] != tc[im[a]][im[b]]:
-                    raise ConstructionError("not a homomorphism", pair=[a, b])
-
-    def __call__(self, g: int) -> int:
-        return self.images[g]
-
 
 @dataclass(frozen=True)
 class Abelianization:
@@ -569,8 +595,11 @@ class Abelianization:
 
 
 def commutator_subgroup(group: FiniteGroup) -> Subgroup:
-    gens = {group.commutator(a, b) for a in group.elements() for b in group.elements()}
-    return subgroup_generated(group, gens)
+    t = np.array(group.table)
+    inv = np.array(group.inverses)
+    # [a, b] = (a * b) * (a^-1 * b^-1)
+    commutators = t[t, t[inv[:, None], inv]]
+    return subgroup_generated(group, np.flatnonzero(np.bincount(commutators.ravel())).tolist())
 
 
 def _abelian_coordinates(group: FiniteGroup):

@@ -112,6 +112,12 @@ class SearchResult:
     b_max: int
     elapsed_ms: int
 
+    def __repr__(self):
+        # the pair list runs to hundreds of thousands of entries at full scale
+        return (f"SearchResult(pair_count={self.pair_count}, "
+                f"distinct_p_count={self.distinct_p_count}, a_max={self.a_max}, "
+                f"b_max={self.b_max}, elapsed_ms={self.elapsed_ms})")
+
 
 def _scan_chunk(args):
     a_lo, a_hi, b_max = args

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import Matrix, identity, kernel_basis, mat_mul, smith_normal_form, solve_matrix
-from .datum import NormTorusDatum, TorusPair
+from .datum import NormTorusDatum
 from .errors import InternalCheckError
 from .groups import FiniteGroup, Subgroup, cosets
 
 __all__ = [
     "GLattice", "LatticeMap", "TorusLattices", "permutation_lattice",
-    "trivial_lattice", "restrict_lattice", "norm_one_lattice",
-    "character_lattices", "direct_sum_lattice",
+    "trivial_lattice", "restrict_lattice", "character_lattices",
 ]
 
 
@@ -133,12 +132,6 @@ def restrict_lattice(lattice: GLattice, sub: Subgroup):
                     tuple(lattice.action[parent] for parent in embed))
 
 
-def norm_one_lattice(group: FiniteGroup, outer: Subgroup, inner: Subgroup):
-    """Character lattice of the norm-one torus of a single pair."""
-    built = character_lattices(NormTorusDatum(group, (TorusPair(inner, outer),)))
-    return built.norm_one
-
-
 @dataclass(frozen=True)
 class TorusLattices:
     ambient: GLattice          # permutation lattice on the inner cosets
@@ -146,12 +139,9 @@ class TorusLattices:
     norm_one: GLattice
     torus: GLattice
     norm_map: LatticeMap       # base -> ambient, coset summation
-    degree_map: Matrix         # base -> Z, sum of coordinates (1 x rank)
-    ambient_to_norm_one: LatticeMap
     ambient_to_torus: LatticeMap
     torus_to_norm_one: LatticeMap
     unit_embedding: Matrix     # Z -> torus (rank x 1)
-    block_slices: tuple[tuple[int, int], ...]  # ambient columns per pair
 
 
 def _block_diag(groups, blocks):
@@ -181,12 +171,9 @@ def character_lattices(datum: NormTorusDatum) -> TorusLattices:
         return TorusLattices(
             ambient=zero, base=zero, norm_one=zero, torus=one,
             norm_map=LatticeMap(zero, zero, ()),
-            degree_map=((),),
-            ambient_to_norm_one=LatticeMap(zero, zero, ()),
             ambient_to_torus=LatticeMap(zero, one, ((),)),
             torus_to_norm_one=LatticeMap(one, zero, ()),
-            unit_embedding=((1,),),
-            block_slices=())
+            unit_embedding=((1,),))
     amb_blocks = []
     base_blocks = []
     norm_blocks = []
@@ -238,17 +225,10 @@ def character_lattices(datum: NormTorusDatum) -> TorusLattices:
     t2n = _transpose(factor)
     torus_to_norm_one = LatticeMap(torus, norm_one, t2n)
     _check_exactness(torus, norm_one, unit_embedding, t2n)
-    slices = []
-    off = 0
-    for amb, _ in amb_blocks:
-        slices.append((off, off + amb.rank))
-        off += amb.rank
     return TorusLattices(
         ambient=ambient, base=base, norm_one=norm_one, torus=torus,
-        norm_map=norm_map, degree_map=degree,
-        ambient_to_norm_one=to_norm_one, ambient_to_torus=to_torus,
-        torus_to_norm_one=torus_to_norm_one, unit_embedding=unit_embedding,
-        block_slices=tuple(slices))
+        norm_map=norm_map, ambient_to_torus=to_torus,
+        torus_to_norm_one=torus_to_norm_one, unit_embedding=unit_embedding)
 
 
 def _transpose(m):

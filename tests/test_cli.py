@@ -102,6 +102,18 @@ def test_schema_rejects_bad_datum(tmp_path):
     assert "schema" in json.loads(out)["error"]["message"]
 
 
+def test_ragged_table_exit_code(tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"group": {"table": [[0, 1], [1]]},
+                                "pairs": [{"H": [0], "Ntilde": [0]}]}))
+    code, out = run_cli(["tau", "datum", str(path)])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3
+    assert error["message"] == "table is not square"
+    assert error["context"] == {"row": 1, "length": 1}
+
+
 def test_fast_path_unavailable_exit_code(tmp_path):
     from cmtori.datum import NormTorusDatum, TorusPair
     from cmtori.groups import dihedral, subgroup_generated, trivial_subgroup

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cmtori.abelian import FinAb
@@ -9,6 +11,7 @@ from cmtori.groups import (
     abelianization,
     canonical_conjugate,
     center,
+    closure,
     commutator_subgroup,
     conjugacy_classes,
     construct_group,
@@ -241,7 +244,7 @@ def test_induced_abelian_hom():
 
 
 def test_order_cap():
-    assert cyclic(512).order == 512  # exhaustive validation at the cap
+    assert cyclic(512).order == 512  # full validation at the cap
     with pytest.raises(ConstructionError):
         cyclic(513)
     with pytest.raises(ConstructionError):
@@ -254,3 +257,245 @@ def test_latin_but_no_identity_rejected():
     t = tuple(tuple((a - b) % n for b in range(n)) for a in range(n))
     with pytest.raises(ConstructionError):
         from_table(t)
+    # its transpose has a left identity but no right one
+    with pytest.raises(ConstructionError) as exc:
+        from_table(tuple(zip(*t)))
+    assert str(exc.value) == "no two-sided identity"
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: the original quadratic closure, conjugation by
+# every element, and the full n^3 associativity scan
+# ---------------------------------------------------------------------------
+
+def reference_closure(group, gens):
+    elems = {group.identity}
+    frontier = list(set(gens))
+    elems.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (group.table[a][b], group.table[b][a]):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(elems))
+
+
+def reference_canonical_conjugate(group, elements):
+    return min(tuple(sorted(group.conj(g, x) for x in elements))
+               for g in group.elements())
+
+
+def reference_first_triple(table):
+    t = np.asarray(table)
+    for a in range(len(t)):
+        left = t[t[a]]
+        right = t[a][t]
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            return [int(a), int(b), int(c)]
+    return None
+
+
+def relabelled(table, rng):
+    """The same multiplication under a random renaming of the elements."""
+    t = np.asarray(table)
+    perm = np.array(rng.sample(range(len(t)), len(t)))
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return out
+
+
+def small_groups():
+    """Groups of order <= 64 from every family, products included."""
+    out = [cyclic(n) for n in (1, 2, 5, 12, 16, 30, 64)]
+    out += [dihedral(n) for n in (3, 4, 6, 10, 16, 32)]
+    out += [Q8] + [units_mod(n) for n in (8, 15, 21, 63, 80)]
+    out += [direct_product(*fs).group for fs in (
+        (Q8, cyclic(2)), (dihedral(4), cyclic(3)), (cyclic(4), cyclic(4), cyclic(2)),
+        (Q8, Q8), (dihedral(3), dihedral(3)), (cyclic(2),) * 6)]
+    return out
+
+
+@pytest.mark.parametrize("cap", [False, True], ids=["order<=64", "order512"])
+def test_closure_and_conjugacy_match_references(cap):
+    rng = random.Random(20261018)
+    bases = [cyclic(512), dihedral(256)] if cap else small_groups()
+    for base in bases:
+        g = from_table(relabelled(base.table, rng))
+        assert g.order == base.order
+        subs = set()
+        for x in g.elements():
+            sub = closure(g, [x])
+            assert sub == reference_closure(g, [x]), (base, x)
+            subs.add(sub)
+        for sub in subs:
+            assert (canonical_conjugate(g, Subgroup(g, sub)).elements
+                    == reference_canonical_conjugate(g, sub)), (base, sub)
+        gens = rng.sample(range(g.order), min(3, g.order))
+        assert closure(g, gens) == reference_closure(g, gens)
+
+
+def reference_subgroup_error(group, elements):
+    """The first failure of the original pairwise subgroup check, or None."""
+    mem = set(elements)
+    if group.identity not in mem:
+        return "subgroup misses the identity", {}
+    for a in sorted(mem):
+        if group.inverses[a] not in mem:
+            return "subgroup not closed under inverse", {"element": a}
+        for b in sorted(mem):
+            if group.table[a][b] not in mem:
+                return "subgroup not closed", {"pair": [a, b]}
+    return None
+
+
+def test_subgroup_validation_matches_reference():
+    rng = random.Random(11)
+    for base in small_groups() + [dihedral(256)]:
+        g = from_table(relabelled(base.table, rng))
+        for _ in range(12):
+            gens = [rng.randrange(g.order) for _ in range(rng.randint(0, 2))]
+            sub = reference_closure(g, gens)
+            extra = [rng.randrange(g.order) for _ in range(rng.randint(0, 2))]
+            for elements in (sub, sub + tuple(extra), tuple(extra) + (g.identity,),
+                             tuple(x for x in sub if x != g.identity)):
+                expected = reference_subgroup_error(g, elements)
+                if expected is None:
+                    assert Subgroup(g, elements).elements == tuple(sorted(set(elements)))
+                    continue
+                with pytest.raises(ConstructionError) as exc:
+                    Subgroup(g, elements)
+                assert (str(exc.value), exc.value.context) == expected
+
+
+def test_vectorized_tables_match_loops():
+    # the element-by-element constructions the numpy ones replaced
+    for n in (1, 2, 5, 17):
+        assert cyclic(n).table == tuple(
+            tuple((a + b) % n for b in range(n)) for a in range(n))
+    for n in (1, 2, 3, 8):
+        def mul(a, b):
+            ra, fa, rb, fb = a % n, a >= n, b % n, b >= n
+            if not fa and not fb:
+                return (ra + rb) % n
+            if not fa and fb:
+                return n + (rb - ra) % n
+            if fa and not fb:
+                return n + (ra + rb) % n
+            return (rb - ra) % n
+        assert dihedral(n).table == tuple(
+            tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
+    for n in (1, 2, 12, 35, 64):
+        res = residues_of(units_mod(n))
+        assert units_mod(n).table == tuple(
+            tuple(res.index((a * b) % n if n > 1 else 1) for b in res) for a in res)
+    for factors in ((cyclic(2), cyclic(3)), (Q8, dihedral(3)),
+                    (cyclic(2), Q8, cyclic(3))):
+        prod = direct_product(*factors)
+        assert prod.group.table == tuple(
+            tuple(prod.pack(tuple(f.mul(x, y) for f, x, y in
+                                  zip(factors, prod.unpack(a), prod.unpack(b))))
+                  for b in prod.group.elements())
+            for a in prod.group.elements())
+    for g in (Q8, dihedral(6), direct_product(Q8, cyclic(3)).group, units_mod(15)):
+        t, inv = g.table, g.inverses
+        commutators = {t[t[a][b]][t[inv[a]][inv[b]]] for a in g.elements() for b in g.elements()}
+        derived = commutator_subgroup(g)
+        assert derived.elements == reference_closure(g, commutators)
+        for normal in (derived, center(g)):
+            q = quotient_group(g, normal)
+            reps = q.representatives
+            assert q.group.table == tuple(
+                tuple(q.projection[t[ra][rb]] for rb in reps) for ra in reps)
+        assert center(g).elements == tuple(
+            x for x in g.elements() if all(t[x][y] == t[y][x] for y in g.elements()))
+        local, embed = subgroup_generated(g, [g.order - 1, g.order - 2]).as_group()
+        assert local.table == tuple(
+            tuple(embed.index(t[a][b]) for b in embed) for a in embed)
+
+
+def with_intercalate_swap(group, rng):
+    """The table with one 2x2 Latin subsquare swapped, identity row and column kept.
+
+    Rows r1, r2 and columns c1, c2 with r1 c1 = r2 c2 and r1 c2 = r2 c1
+    hold two values crosswise; exchanging them leaves a Latin square.
+    """
+    t = [list(row) for row in group.table]
+    e, inv = group.identity, group.inverses
+    for _ in range(10_000):
+        r1, r2, c1 = rng.sample([x for x in group.elements() if x != e], 3)
+        c2 = t[inv[r2]][t[r1][c1]]
+        if c2 not in (e, c1) and t[r1][c2] == t[r2][c1]:
+            t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+            t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+            return t
+    raise AssertionError(f"no intercalate found in {group}")
+
+
+def test_non_associative_latin_squares_rejected():
+    rng = random.Random(7)
+    loop = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    # {0, 1, 2, 3} is closed under right multiplication by 1 and 2, so the
+    # elements reached stop doubling: no group table can do that
+    undoubled = (
+        (0, 1, 2, 3, 4, 5, 6),
+        (1, 0, 3, 4, 2, 6, 5),
+        (2, 3, 0, 5, 6, 1, 4),
+        (3, 2, 1, 6, 5, 4, 0),
+        (4, 5, 6, 0, 1, 2, 3),
+        (5, 6, 4, 1, 0, 3, 2),
+        (6, 4, 5, 2, 3, 0, 1),
+    )
+    tables = [loop, undoubled]
+    for g in (cyclic(8), Q8, dihedral(4), cyclic(16), dihedral(12), units_mod(40),
+              direct_product(Q8, cyclic(4)).group, cyclic(64), dihedral(32),
+              direct_product(cyclic(2), cyclic(2), cyclic(2), cyclic(8)).group):
+        for _ in range(3):
+            tables.append(relabelled(with_intercalate_swap(g, rng), rng))
+    for table in tables:
+        t = np.asarray(table)
+        n = len(t)
+        # a Latin square with a two-sided identity: only associativity can fail
+        assert all(sorted(row) == list(range(n)) for row in t.tolist())
+        assert all(sorted(col) == list(range(n)) for col in t.T.tolist())
+        assert any((t[e] == np.arange(n)).all() and (t[:, e] == np.arange(n)).all()
+                   for e in range(n))
+        expected = reference_first_triple(t)
+        assert expected is not None
+        with pytest.raises(ConstructionError) as exc:
+            from_table(table)
+        assert str(exc.value) == "associativity fails"
+        a, b, c = exc.value.context["triple"]
+        assert t[t[a, b], c] != t[a, t[b, c]]
+        assert exc.value.context["triple"] == expected
+
+
+def test_latin_check_names_first_bad_line():
+    # every row is a permutation; columns 1 and 2 repeat entries
+    with pytest.raises(ConstructionError) as exc:
+        from_table(((0, 1, 2), (2, 1, 0), (1, 0, 2)))
+    assert str(exc.value) == "table is not a Latin square"
+    assert exc.value.context == {"line": 1}
+    # the transpose fails on rows 1 and 2 instead
+    with pytest.raises(ConstructionError) as exc:
+        from_table(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    assert exc.value.context == {"line": 1}
+
+
+def test_ragged_table_rejected():
+    with pytest.raises(ConstructionError) as exc:
+        from_table([[0, 1], [1]])
+    assert str(exc.value) == "table is not square"
+    with pytest.raises(ConstructionError) as exc:
+        from_table([[0, 1, 2], [1, 2, 0]])
+    assert exc.value.context == {"shape": [2, 3]}

@@ -77,6 +77,15 @@ def test_search_small_window():
     assert res.distinct_p_count == len({p.p for p in res.pairs})
 
 
+def test_search_result_repr_omits_pairs():
+    res = search(2, 6)
+    assert res.pair_count > 0
+    assert repr(res) == (
+        f"SearchResult(pair_count={res.pair_count}, "
+        f"distinct_p_count={res.distinct_p_count}, a_max=2, b_max=6, "
+        f"elapsed_ms={res.elapsed_ms})")
+
+
 def test_search_empty_range():
     res = search(0, 100)
     assert res.pair_count == 0 and res.distinct_p_count == 0

@@ -90,3 +90,11 @@ def test_bad_action_rejected():
     g = cyclic(2)
     with pytest.raises(InternalCheckError):
         GLattice(g, 1, (((1,),), ((2,),)))  # 2 is not an involution matrix
+
+
+def test_star_import_names_exist():
+    import cmtori.lattice
+
+    namespace = {}
+    exec("from cmtori.lattice import *", namespace)
+    assert set(cmtori.lattice.__all__) <= set(namespace)

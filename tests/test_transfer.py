@@ -5,7 +5,6 @@ import pytest
 from cmtori.abelian import image_of_hom, kernel_of_hom
 from cmtori.errors import ConstructionError
 from cmtori.groups import (
-    GroupHom,
     Subgroup,
     center,
     cyclic,
