@@ -4,7 +4,9 @@ Everything is built on Smith normal form over Z with arbitrary-precision
 integers.  Groups are kept in invariant-factor form (d_1 | d_2 | ... | d_k,
 each >= 2, empty tuple = trivial group) and all homomorphisms are integer
 matrices relative to the canonical generators, so results are exactly
-reproducible across runs.
+reproducible across runs.  The torsion of a large cokernel, whose
+exponent is known, is found instead by numpy eliminations modulo prime
+powers (``cokernel_torsion``), exact by the same invariant-factor theory.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+import numpy as np
+
 from .errors import InternalCheckError
+from .landau import factorize
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -607,3 +612,169 @@ def stack_homs(homs, codomain_sum: DirectSum) -> AbHom:
     for f, inj in zip(homs, codomain_sum.injections, strict=True):
         out = hom_sum(out, inj.compose(f))
     return out
+
+
+# ---------------------------------------------------------------------------
+# torsion of a cokernel by p-local elimination
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _LocalForm:
+    """Smith form of an integer matrix over Z/p^k, k = 2e + 1, p^e | exponent.
+
+    ``row_ops`` records the row operations (pivot row, target rows,
+    factors): replayed on x they give U x mod p^k.  Rows outside every
+    pivot are the free coordinates of the cokernel; ``torsion`` lists the
+    pivot rows whose coordinate lives in Z/p^a with a >= 1, with a.
+    """
+
+    prime: int
+    modulus: int
+    check: int
+    row_ops: tuple
+    free_rows: np.ndarray
+    torsion: tuple[tuple[int, int], ...]
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        mod = self.modulus
+        y = x % mod
+        for r, targets, factors in self.row_ops:
+            y[targets] = (y[targets] - factors * y[r]) % mod
+        if np.any(y[self.free_rows] % self.check):
+            raise InternalCheckError("vector is not torsion in the cokernel",
+                                     prime=self.prime)
+        return y
+
+
+def _local_form(matrix: np.ndarray, p: int, e: int):
+    """Eliminate ``matrix`` modulo p^(2e+1); returns (_LocalForm, generators).
+
+    Pivots are taken in order of p-valuation, so every pivot divides the
+    rest of its row and column: clearing its column by row operations and
+    its row by column operations is exact modulo p^k.  Only the rows that
+    are nonzero in the pivot column are touched.  The column operations are
+    kept in V.  For a torsion pivot of valuation a, with v its V column
+    scaled by the inverse unit, matrix @ v is divisible by p^a over Z, and
+    matrix @ v / p^a is an integer vector whose class generates the pivot's
+    Z/p^a.
+
+    k = 2e + 1 is enough: a saturated vector's coordinates in this basis
+    differ from those in an exact p-adic Smith basis by multiples of
+    p^(k - e) = p^(e + 1), beyond every torsion exponent a <= e.
+    """
+    mod = p ** (2 * e + 1)
+    a = matrix % mod
+    nr, nc = a.shape
+    rows = np.arange(nr)
+    cols = np.arange(nc)
+    v = np.eye(nc, dtype=np.int64)
+    ops = []
+    torsion = []
+    generators = []
+    for level in range(e + 1):
+        unit = p ** level
+        step = unit * p
+        j = misses = 0
+        while nr and misses < nc:
+            if j >= nc:
+                j = 0
+            column = a[:nr, j]
+            hits = np.flatnonzero(column % step)
+            if not hits.size:
+                misses += 1
+                j += 1
+                continue
+            misses = 0
+            # the sparsest candidate row keeps the fill-in low
+            r = hits[np.argmin(np.count_nonzero(a[hits, :nc], axis=1))]
+            pivot_row = a[r, :nc]
+            u_inv = pow(int(pivot_row[j]) // unit, -1, mod)
+            targets = np.flatnonzero(column)
+            targets = targets[targets != r]
+            if targets.size:
+                factors = (column[targets] // unit) * u_inv % mod
+                a[targets, :nc] = (a[targets, :nc] - factors[:, None] * pivot_row) % mod
+                ops.append((int(rows[r]), rows[targets], factors))
+            coeffs = (pivot_row // unit) * u_inv % mod
+            coeffs[j] = 0
+            nz = np.flatnonzero(coeffs)
+            if nz.size:
+                dst = cols[nz]
+                v[:, dst] = (v[:, dst] - np.outer(v[:, cols[j]], coeffs[nz])) % mod
+            if level:
+                image = matrix @ (v[:, cols[j]] * u_inv % mod)
+                if np.any(image % unit):
+                    raise InternalCheckError("torsion lift is not divisible",
+                                             prime=p, exponent=level)
+                torsion.append((int(rows[r]), level))
+                generators.append(image // unit)
+            nr -= 1
+            a[[r, nr]] = a[[nr, r]]
+            rows[[r, nr]] = rows[[nr, r]]
+            nc -= 1
+            a[:nr, [j, nc]] = a[:nr, [nc, j]]
+            cols[[j, nc]] = cols[[nc, j]]
+    if np.any(a[:nr, :nc]):
+        raise InternalCheckError("an elementary divisor does not divide the exponent",
+                                 prime=p, valuation_above=e)
+    form = _LocalForm(p, mod, p ** (e + 1), tuple(ops), rows[:nr].copy(),
+                      tuple(torsion))
+    return form, generators
+
+
+@dataclass(frozen=True, eq=False)
+class CokernelTorsion:
+    """Torsion subgroup of coker(a : Z^n -> Z^m) in invariant-factor form.
+
+    ``generators[j]`` is an integer vector of Z^m whose class is the j-th
+    canonical generator; ``coordinates`` maps a vector of the saturation of
+    the image to its class.
+    """
+
+    group: FinAb
+    generators: tuple[np.ndarray, ...]
+    _forms: tuple[_LocalForm, ...]
+    _weights: tuple[tuple[tuple[int, int], ...], ...]
+
+    def coordinates(self, x) -> tuple[int, ...]:
+        """Canonical coordinates of x; raises if x is not torsion mod the image."""
+        x = np.asarray(x, dtype=np.int64)
+        coords = [0] * self.group.rank
+        for form, weights in zip(self._forms, self._weights):
+            y = form.reduce(x)
+            for (row, _), (slot, weight) in zip(form.torsion, weights):
+                coords[slot] += int(y[row]) * weight
+        return tuple(c % d for c, d in zip(coords, self.group.factors))
+
+
+def cokernel_torsion(a: np.ndarray, exponent: int) -> CokernelTorsion:
+    """Torsion of coker(a) for an int64 matrix whose torsion divides ``exponent``.
+
+    The invariant factors are the non-unit nonzero elementary divisors of
+    a.  Each prime p | exponent is handled by one elimination modulo
+    p^(2 v_p(exponent) + 1); the p-primary parts are then merged into
+    invariant factors, and classes into coordinates by the Chinese
+    remainder theorem.
+    """
+    locals_ = [_local_form(a, p, e) for p, e in factorize(exponent).items()]
+    # align the p-primary cyclic factors at the top of the divisibility chain
+    rank = max((len(form.torsion) for form, _ in locals_), default=0)
+    factors = [1] * rank
+    for form, _ in locals_:
+        offset = rank - len(form.torsion)
+        for i, (_, level) in enumerate(form.torsion):
+            factors[offset + i] *= form.prime ** level
+    generators = [np.zeros(a.shape[0], dtype=np.int64) for _ in range(rank)]
+    weights = []
+    for form, gens in locals_:
+        offset = rank - len(form.torsion)
+        slots = []
+        for i, ((_, level), gen) in enumerate(zip(form.torsion, gens)):
+            slot = offset + i
+            generators[slot] += gen
+            prime_power = form.prime ** level
+            cofactor = factors[slot] // prime_power
+            slots.append((slot, cofactor * pow(cofactor, -1, prime_power)))
+        weights.append(tuple(slots))
+    return CokernelTorsion(FinAb(tuple(factors)), tuple(generators),
+                           tuple(form for form, _ in locals_), tuple(weights))

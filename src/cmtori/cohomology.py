@@ -2,16 +2,23 @@
 
 Cochains in degree q are functions on q-tuples of non-identity elements
 (normalized cochains vanish when any argument is the identity, which
-shrinks every dimension by a factor (|G|/(|G|-1))^q).  Kernels of the
-coboundaries are computed by a sparse integer column reduction, the
-quotient by the previous image by a dense Smith normal form, and every
-class keeps a representative cocycle so that restriction maps act on
-explicit cochains.
+shrinks every dimension by a factor (|G|/(|G|-1))^q).  One vectorized
+coboundary operator applies d_q to cochains; applied to the identity it
+gives the matrix of d_q.
+
+For q >= 1, H^q is finite and ker d_q is saturated in C^q, so H^q is the
+torsion of coker d_(q-1) (Brown, Cohomology of Groups, ch. III): its
+invariant factors are the non-unit elementary divisors of d_(q-1), and
+all of them divide |G|.  H^q is therefore computed from d_(q-1) alone by
+a p-local elimination for each prime p | |G| (``abelian.cokernel_torsion``);
+d_q is never built.  Every class keeps an integer representative cocycle,
+checked against d_q by one application of the operator, so restriction
+maps act on explicit cochains, and ``class_of`` replays the recorded row
+operations on a cocycle to read its coordinates.
 
 This module is the verification oracle: nothing here uses the transfer
 formulas of the fast path.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -19,16 +26,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
+import numpy as np
+
 from .abelian import (
     AbElement,
     AbHom,
+    CokernelTorsion,
     FinAb,
     cokernel_of_hom,
+    cokernel_torsion,
     direct_sum,
     identity,
     kernel_basis,
     kernel_of_hom,
-    smith_normal_form,
     solve_matrix,
     stack_homs,
     zero_hom,
@@ -42,6 +52,7 @@ from .lattice import (
     restrict_lattice,
     trivial_lattice,
 )
+from .transfer import group_abelianization
 
 
 @dataclass(frozen=True)
@@ -68,106 +79,6 @@ DEFAULT_BUDGET = CohomologyBudget()
 
 
 # ---------------------------------------------------------------------------
-# sparse integer column reduction
-# ---------------------------------------------------------------------------
-
-def _column_reduce(cols):
-    """Bring a sparse integer matrix to column echelon form.
-
-    ``cols`` is a list of {row: value} dicts (consumed).  Returns
-    (v_cols, v_inv_rows, kernel_indices): the recorded unimodular column
-    transformation V, its inverse stored by rows, and the indices of the
-    columns that reduced to zero (a kernel basis via V).
-
-    Rows are processed sparsest-first through a lazy heap; within a row,
-    columns are combined Euclid-style until one pivot remains, which is
-    then frozen.  Frozen pivot columns have the only nonzero entry of
-    their pivot row, so they stay independent.
-    """
-    import heapq
-
-    ncols = len(cols)
-    v_cols = [{j: 1} for j in range(ncols)]
-    v_inv = [{j: 1} for j in range(ncols)]
-    row_members = {}
-    for j, col in enumerate(cols):
-        for r in col:
-            row_members.setdefault(r, set()).add(j)
-    active = set(range(ncols))
-
-    def add_col(dst, src, q):
-        # col_dst += q * col_src, with bookkeeping
-        col_s = cols[src]
-        col_d = cols[dst]
-        for r, val in col_s.items():
-            new = col_d.get(r, 0) + q * val
-            if new:
-                if r not in col_d:
-                    row_members.setdefault(r, set()).add(dst)
-                col_d[r] = new
-            elif r in col_d:
-                del col_d[r]
-                row_members[r].discard(dst)
-        vd = v_cols[dst]
-        for r, val in v_cols[src].items():
-            new = vd.get(r, 0) + q * val
-            if new:
-                vd[r] = new
-            else:
-                vd.pop(r, None)
-        vs = v_inv[src]
-        for r, val in v_inv[dst].items():
-            new = vs.get(r, 0) - q * val
-            if new:
-                vs[r] = new
-            else:
-                vs.pop(r, None)
-
-    # active columns only ever touch unprocessed rows (fill enters a row only
-    # from an active column that already meets it), so the initial row set is
-    # complete and the heap never needs new keys
-    heap = [(len(members), r) for r, members in row_members.items()]
-    heapq.heapify(heap)
-    processed = set()
-    while heap:
-        cnt, row = heapq.heappop(heap)
-        if row in processed:
-            continue
-        live = row_members.get(row, set()) & active
-        if not live:
-            processed.add(row)
-            continue
-        if len(live) != cnt:
-            heapq.heappush(heap, (len(live), row))
-            continue
-        pivot = None
-        while True:
-            entries = sorted((abs(cols[j][row]), len(cols[j]), j)
-                             for j in live if row in cols[j])
-            if not entries:
-                break
-            if len(entries) == 1:
-                pivot = entries[0][2]
-                break
-            best = entries[0][2]
-            bval = cols[best][row]
-            for _, _, j in entries[1:]:
-                q = cols[j][row] // bval
-                if q:
-                    add_col(j, best, -q)
-            live = row_members.get(row, set()) & active
-        processed.add(row)
-        if pivot is not None:
-            active.discard(pivot)
-    kernel = sorted(j for j in active if not cols[j])
-    leftovers = [j for j in active if cols[j]]
-    if leftovers:
-        raise InternalCheckError("column reduction left active nonzero columns",
-                                 count=len(leftovers))
-    return v_cols, v_inv, kernel
-
-
-# ---------------------------------------------------------------------------
 # normalized bar complex
 # ---------------------------------------------------------------------------
 
@@ -175,103 +86,51 @@ def _nonid(group: FiniteGroup):
     return tuple(g for g in group.elements() if g != group.identity)
 
 
-def _tuple_index(positions, m):
-    idx = 0
-    for p in positions:
-        idx = idx * m + p
-    return idx
+@lru_cache(maxsize=256)
+def _bar_tables(group: FiniteGroup):
+    """(non-identity elements, position of every element, products of positions).
 
-
-def coboundary(lattice: GLattice, q: int, vec):
-    """Apply the degree-q coboundary to a dense cochain vector."""
-    g = lattice.group
-    rank = lattice.rank
-    nonid = _nonid(g)
+    The identity's position is m = |G| - 1, one past the last, so
+    ``products[a, b] == m`` marks a product that is the identity.
+    """
+    nonid = _nonid(group)
     m = len(nonid)
-    pos = {x: i for i, x in enumerate(nonid)}
-    out = [0] * (rank * m ** (q + 1))
-
-    def read(tup):
-        idx = _tuple_index([pos[x] for x in tup], m) * rank
-        return vec[idx:idx + rank]
-
-    for out_positions in iter_product(range(m), repeat=q + 1):
-        tup = tuple(nonid[p] for p in out_positions)
-        base = _tuple_index(out_positions, m) * rank
-        acc = [0] * rank
-        if q == 0:
-            # (df)(g) = g.f - f
-            mat = lattice.action[tup[0]]
-            for i in range(rank):
-                acc[i] += sum(mat[i][j] * vec[j] for j in range(rank)) - vec[i]
-        else:
-            head = read(tup[1:])
-            mat = lattice.action[tup[0]]
-            for i in range(rank):
-                acc[i] += sum(mat[i][j] * head[j] for j in range(rank))
-            sign = -1
-            for cut in range(q):
-                merged = g.table[tup[cut]][tup[cut + 1]]
-                if merged != g.identity:
-                    mtup = tup[:cut] + (merged,) + tup[cut + 2:]
-                    val = read(mtup)
-                    for i in range(rank):
-                        acc[i] += sign * val[i]
-                sign = -sign
-            tail = read(tup[:q])
-            for i in range(rank):
-                acc[i] += sign * tail[i]
-        out[base:base + rank] = acc
-    return out
+    pos = np.full(group.order, m, dtype=np.int64)
+    pos[list(nonid)] = np.arange(m)
+    table = np.array([group.table[x] for x in nonid], dtype=np.int64).reshape(m, group.order)
+    products = pos[table[:, list(nonid)]]
+    pos.flags.writeable = products.flags.writeable = False   # shared through the cache
+    return nonid, pos, products
 
 
-def _differential_columns(lattice: GLattice, q: int):
-    """Sparse columns of d_q : C^q -> C^{q+1} on normalized cochains."""
-    g = lattice.group
-    rank = lattice.rank
-    nonid = _nonid(g)
+def coboundary(lattice: GLattice, q: int, cochains) -> np.ndarray:
+    """d_q : C^q -> C^{q+1} applied to a cochain vector or to each matrix column.
+
+    Coordinate i of a q-cochain at (g_1, ..., g_q) sits at index
+    (pos(g_1) ... pos(g_q) read in base m) * rank + i, m = |G| - 1, and
+
+        (df)(g_0..g_q) = g_0 f(g_1..g_q) + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..)
+                         + (-1)^(q+1) f(g_0..g_(q-1)),
+
+    where a term with an identity argument vanishes.  Applied to the
+    identity matrix this is the matrix of d_q.
+    """
+    x = np.asarray(cochains, dtype=np.int64)
+    nonid, _, products = _bar_tables(lattice.group)
     m = len(nonid)
-    pos = {x: i for i, x in enumerate(nonid)}
-    ncols = rank * m ** q
-    cols = [dict() for _ in range(ncols)]
-
-    def add(col, row, val):
-        if not val:
-            return
-        d = cols[col]
-        new = d.get(row, 0) + val
-        if new:
-            d[row] = new
-        else:
-            del d[row]
-
-    for out_positions in iter_product(range(m), repeat=q + 1):
-        tup = tuple(nonid[p] for p in out_positions)
-        base = _tuple_index(out_positions, m) * rank
-        if q == 0:
-            mat = lattice.action[tup[0]]
-            for i in range(rank):
-                for j in range(rank):
-                    add(j, base + i, mat[i][j] - (1 if i == j else 0))
-            continue
-        head_base = _tuple_index(out_positions[1:], m) * rank
-        mat = lattice.action[tup[0]]
-        for i in range(rank):
-            for j in range(rank):
-                add(head_base + j, base + i, mat[i][j])
-        sign = -1
-        for cut in range(q):
-            merged = g.table[tup[cut]][tup[cut + 1]]
-            if merged != g.identity:
-                mpos = [pos[x] for x in tup[:cut] + (merged,) + tup[cut + 2:]]
-                mbase = _tuple_index(mpos, m) * rank
-                for i in range(rank):
-                    add(mbase + i, base + i, sign)
-            sign = -sign
-        tail_base = _tuple_index(out_positions[:q], m) * rank
-        for i in range(rank):
-            add(tail_base + i, base + i, sign)
-    return cols, ncols
+    rank = lattice.rank
+    k = x.shape[1] if x.ndim == 2 else 1
+    f = x.reshape(m ** q, rank, k)
+    acts = np.array([lattice.action[g] for g in nonid], dtype=np.int64)
+    out = np.matmul(acts.reshape(m, 1, rank, rank), f[None])
+    for i in range(q):
+        inner = f.reshape(m ** i, m, m ** (q - 1 - i), rank, k)
+        padded = np.concatenate(
+            [inner, np.zeros((m ** i, 1) + inner.shape[2:], dtype=np.int64)], axis=1)
+        out.reshape(m ** i, m, m, m ** (q - 1 - i), rank, k)[...] += (
+            (-1) ** (i + 1) * padded[:, products])
+    out.reshape(m ** q, m, rank, k)[...] += (-1) ** (q + 1) * f[:, None]
+    return out.reshape((-1,) + x.shape[1:])
 
 
 @dataclass
@@ -283,37 +142,22 @@ class Cohomology:
     group: FinAb
     free_rank: int
     _dim: int = 0
-    _kernel_rows: tuple = ()      # V^-1 rows indexed by kernel position
-    _kernel_cols: tuple = ()      # V columns (sparse) forming the kernel basis
-    _u: tuple = ()
-    _u_inv: tuple = ()
-    _keep: tuple = ()
+    _torsion: CokernelTorsion | None = None
 
-    def representative(self, j: int):
-        """Dense cocycle vector representing the j-th canonical generator."""
-        k = len(self._kernel_cols)
-        out = [0] * self._dim
-        col = self._keep[j]
-        for t in range(k):
-            coef = self._u_inv[t][col]
-            if not coef:
-                continue
-            for r, val in self._kernel_cols[t].items():
-                out[r] += coef * val
-        return out
+    def representative(self, j: int) -> np.ndarray:
+        """Cocycle vector representing the j-th canonical generator."""
+        return self._torsion.generators[j].copy()
 
     def class_of(self, vec) -> AbElement:
         """Canonical coordinates of a cocycle's cohomology class."""
-        k = len(self._kernel_cols)
-        y = []
-        for t in range(k):
-            row = self._kernel_rows[t]
-            y.append(sum(val * vec[r] for r, val in row.items()))
-        coords = []
-        for idx, col in enumerate(self._keep):
-            full = sum(self._u[col][t] * y[t] for t in range(k))
-            coords.append(full % self.group.factors[idx])
-        return self.group.element(tuple(coords))
+        x = np.asarray(vec, dtype=np.int64)
+        if x.shape != (self._dim,):
+            raise InternalCheckError("cochain has the wrong dimension",
+                                     degree=self.degree, expected=self._dim,
+                                     got=list(x.shape))
+        if self._torsion is None:
+            return self.group.zero()
+        return self.group.element(self._torsion.coordinates(x))
 
 
 def _invariants_rank(lattice: GLattice) -> int:
@@ -334,9 +178,14 @@ def _invariants_rank(lattice: GLattice) -> int:
     return len(basis[0]) if basis and basis[0] else 0
 
 
-@lru_cache(maxsize=512)
 def cohomology(lattice: GLattice, q: int,
                budget: CohomologyBudget = DEFAULT_BUDGET) -> Cohomology:
+    """H^q(G, M) on normalized cochains, cached per (lattice, q, budget)."""
+    return _cohomology(lattice, q, budget)
+
+
+@lru_cache(maxsize=512)
+def _cohomology(lattice: GLattice, q: int, budget: CohomologyBudget) -> Cohomology:
     group = lattice.group
     budget.check(group.order, lattice.rank, q)
     if q == 0:
@@ -346,77 +195,41 @@ def cohomology(lattice: GLattice, q: int,
     dim = rank * m ** q
     if dim == 0:
         return Cohomology(lattice, q, FinAb(()), 0, _dim=0)
-    cols, _ = _differential_columns(lattice, q)
-    v_cols, v_inv, kernel = _column_reduce(cols)
-    k = len(kernel)
-    kernel_rows = tuple(v_inv[j] for j in kernel)
-    kernel_cols = tuple(v_cols[j] for j in kernel)
-    # previous differential in V coordinates: y = V^-1 * d_{q-1}
-    prev_cols, prev_n = _differential_columns(lattice, q - 1)
-    needed = set()
-    for col in prev_cols:
-        needed.update(col)
-    inverted = {}
-    for i, vrow in enumerate(v_inv):
-        for r, val in vrow.items():
-            if r in needed:
-                inverted.setdefault(r, []).append((i, val))
-    kernel_position = {j: t for t, j in enumerate(kernel)}
-    x_rows = [[0] * prev_n for _ in range(k)]
-    for c, col in enumerate(prev_cols):
-        acc = {}
-        for r, val in col.items():
-            for i, coef in inverted.get(r, ()):
-                acc[i] = acc.get(i, 0) + coef * val
-        for i, val in acc.items():
-            if not val:
-                continue
-            t = kernel_position.get(i)
-            if t is None:
-                # image must land inside the kernel of d_q
-                raise InternalCheckError("image of d_{q-1} escapes ker d_q")
-            x_rows[t][c] = val
-    x = tuple(tuple(row) for row in x_rows)
-    if k == 0:
-        return Cohomology(lattice, q, FinAb(()), 0, _dim=dim)
-    form = smith_normal_form(x)
-    diag = form.diagonal
-    if len(diag) < k or any(d == 0 for d in diag):
-        raise InternalCheckError("cohomology in positive degree is not finite")
-    keep = tuple(i for i in range(k) if diag[i] > 1)
-    fin = FinAb(tuple(diag[i] for i in keep))
-    return Cohomology(lattice, q, fin, 0, _dim=dim,
-                      _kernel_rows=kernel_rows, _kernel_cols=kernel_cols,
-                      _u=form.u, _u_inv=form.u_inv, _keep=keep)
+    # H^q is finite and ker d_q is saturated, so H^q = torsion of coker d_(q-1)
+    prev_dim = rank * m ** (q - 1)
+    torsion = cokernel_torsion(
+        coboundary(lattice, q - 1, np.eye(prev_dim, dtype=np.int64)), group.order)
+    if torsion.generators:
+        reps = np.stack(torsion.generators, axis=1)
+        if np.any(coboundary(lattice, q, reps)):
+            raise InternalCheckError("representative is not a cocycle", degree=q)
+    return Cohomology(lattice, q, torsion.group, 0, _dim=dim, _torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
 # restriction, Sha, connecting map
 # ---------------------------------------------------------------------------
 
-def restrict_cochain(parent: GLattice, sub: Subgroup, q: int, vec):
-    """Restrict a dense G-cochain to tuples from a subgroup."""
-    g = parent.group
-    rank = parent.rank
-    nonid_g = _nonid(g)
-    pos_g = {x: i for i, x in enumerate(nonid_g)}
-    mg = len(nonid_g)
+def restrict_cochain(parent: GLattice, sub: Subgroup, q: int, vec) -> np.ndarray:
+    """Restrict a G-cochain to tuples from a subgroup."""
+    _, pos_g, _ = _bar_tables(parent.group)
+    mg = parent.group.order - 1
     local, embed = sub.as_group()
-    nonid_d = _nonid(local)
-    md = len(nonid_d)
-    out = [0] * (rank * md ** q)
-    for positions in iter_product(range(md), repeat=q):
-        parent_positions = [pos_g[embed[nonid_d[p]]] for p in positions]
-        src = _tuple_index(parent_positions, mg) * rank
-        dst = _tuple_index(positions, md) * rank
-        out[dst:dst + rank] = vec[src:src + rank]
-    return out
+    parent_pos = pos_g[[embed[x] for x in _nonid(local)]]
+    index = np.zeros(1, dtype=np.int64)
+    for _ in range(q):
+        index = (index[:, None] * mg + parent_pos).ravel()
+    return np.asarray(vec, dtype=np.int64).reshape(mg ** q, parent.rank)[index].ravel()
 
 
-@lru_cache(maxsize=512)
 def restriction_hom(lattice: GLattice, q: int, sub: Subgroup,
                     budget: CohomologyBudget = DEFAULT_BUDGET):
     """(AbHom H^q(G,M) -> H^q(D,M), the subgroup cohomology)."""
+    return _restriction_hom(lattice, q, sub, budget)
+
+
+@lru_cache(maxsize=512)
+def _restriction_hom(lattice: GLattice, q: int, sub: Subgroup, budget: CohomologyBudget):
     parent_coh = cohomology(lattice, q, budget)
     sub_lat = restrict_lattice(lattice, sub)
     sub_coh = cohomology(sub_lat, q, budget)
@@ -473,31 +286,18 @@ def connecting_hom(sub_lattices, incl, proj, q: int,
     coh_c = cohomology(c_lat, q, budget)
     coh_a = cohomology(a_lat, q + 1, budget)
     section, li = _section_and_retraction(incl, proj, b_lat.rank)
-    g = c_lat.group
-    m = g.order - 1
+    section = np.array(section, dtype=np.int64).reshape(b_lat.rank, c_lat.rank)
+    li = np.array(li, dtype=np.int64).reshape(a_lat.rank, b_lat.rank)
+    incl = np.array(incl, dtype=np.int64).reshape(b_lat.rank, a_lat.rank)
     cols = []
     for j in range(coh_c.group.rank):
-        rep = coh_c.representative(j)
-        lifted = [0] * (b_lat.rank * m ** q)
-        blocks = m ** q
-        for t in range(blocks):
-            src = rep[t * c_lat.rank:(t + 1) * c_lat.rank]
-            dst = [sum(section[i][j2] * src[j2] for j2 in range(c_lat.rank))
-                   for i in range(b_lat.rank)]
-            lifted[t * b_lat.rank:(t + 1) * b_lat.rank] = dst
-        dw = coboundary(b_lat, q, lifted)
-        out = [0] * (a_lat.rank * m ** (q + 1))
-        for t in range(m ** (q + 1)):
-            val = dw[t * b_lat.rank:(t + 1) * b_lat.rank]
-            avals = [sum(li[i][j2] * val[j2] for j2 in range(b_lat.rank))
-                     for i in range(a_lat.rank)]
-            # the coboundary of the lift must come from A
-            back = [sum(incl[i][j2] * avals[j2] for j2 in range(a_lat.rank))
-                    for i in range(b_lat.rank)]
-            if back != list(val):
-                raise InternalCheckError("connecting cochain escapes the sub-lattice")
-            out[t * a_lat.rank:(t + 1) * a_lat.rank] = avals
-        cols.append(coh_a.class_of(out).coords)
+        lifted = coh_c.representative(j).reshape(-1, c_lat.rank) @ section.T
+        dw = coboundary(b_lat, q, lifted.ravel()).reshape(-1, b_lat.rank)
+        out = dw @ li.T
+        # the coboundary of the lift must come from A
+        if not np.array_equal(out @ incl.T, dw):
+            raise InternalCheckError("connecting cochain escapes the sub-lattice")
+        cols.append(coh_a.class_of(out.ravel()).coords)
     matrix = tuple(tuple(col[i] for col in cols) for i in range(coh_a.group.rank))
     return AbHom(coh_c.group, coh_a.group, matrix)
 
@@ -609,8 +409,6 @@ def _twisted_invariant_order(pair, inner_ab: FinAb) -> int:
 
 def _complement_of_involution(datum: NormTorusDatum):
     """An index-2 subgroup avoiding iota, if the involution sequence splits."""
-    from .transfer import group_abelianization
-
     g = datum.group
     ab = group_abelianization(g)
     even = [j for j, d in enumerate(ab.group.factors) if d % 2 == 0]
@@ -643,9 +441,7 @@ def xi_obstruction(datum: NormTorusDatum,
         raise InternalCheckError("involution sequence does not split")
     g_half = datum.group.order // 2
     local, _ = complement.as_group()
-    from .groups import abelianization as _ab
-
-    gab_order = _ab(local).group.order
+    gab_order = group_abelianization(local).group.order
     if g_half % 2 != 0 or gab_order % 2 == 0:
         raise InternalCheckError("xi hypotheses fail",
                                  half_degree=g_half, complement_ab=gab_order)
@@ -657,7 +453,7 @@ def xi_obstruction(datum: NormTorusDatum,
                                  factors=list(coh2.group.factors))
     j = even_positions[0]
     half = coh2.group.factors[j] // 2
-    rep = [half * x for x in coh2.representative(j)]
+    rep = half * coh2.representative(j)
     restrictions = []
     for dec in datum.effective_decomposition_set():
         sub_lat = restrict_lattice(lats.torus, dec)
@@ -730,15 +526,13 @@ def verify_structure(datum: NormTorusDatum,
         h2n1 = cohomology(lats.norm_one, 2, budget).group
         from math import gcd
 
-        from .groups import abelianization as _ab
-
         parts = []
         coprime = True
         quot_orders = []
         twisted_bound = 1
         for pair in datum.pairs:
             local, _ = pair.inner.as_group()
-            inner_ab = _ab(local).group
+            inner_ab = group_abelianization(local).group
             a_i = pair.relative_degree - 1
             parts.extend([FinAb(inner_ab.factors)] * a_i)
             quot_orders.append(datum.group.order // pair.inner.order)
@@ -775,9 +569,7 @@ def verify_structure(datum: NormTorusDatum,
         complement = _complement_of_involution(datum)
         if complement is not None and (datum.group.order // 2) % 2 == 0:
             local, _ = complement.as_group()
-            from .groups import abelianization as _ab
-
-            if _ab(local).group.order % 2 == 1:
+            if group_abelianization(local).group.order % 2 == 1:
                 xi_applicable = True
     if xi_applicable:
         tau_verdict, details = xi_obstruction(datum, budget)

@@ -25,7 +25,8 @@ from .groups import (
     trivial_subgroup,
     units_mod,
 )
-from .landau import is_prime_u64
+from .landau import factorize, is_prime_u64
+from .transfer import group_abelianization
 
 
 # ---------------------------------------------------------------------------
@@ -41,59 +42,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime-power factorization by trial division then Brent's rho walk."""
-    if n < 1 or n >= 1 << 63:
-        raise DatumError("factorization supports 1 <= n < 2^63", n=n)
-    out: dict[int, int] = {}
-
-    def record(p):
-        out[p] = out.get(p, 0) + 1
-
-    for p in (2, 3, 5):
-        while n % p == 0:
-            record(p)
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while d * d <= n and d < 10 ** 6:
-        while n % d == 0:
-            record(d)
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime_u64(m):
-            record(m)
-            continue
-        stack.extend(_brent_rho_split(m))
-    return dict(sorted(out.items()))
-
-
-def _brent_rho_split(n: int):
-    """One nontrivial factorization n = a * b of an odd composite."""
-    if n % 2 == 0:
-        return [2, n // 2]
-    c = 1
-    while True:
-        x = 2
-        y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return [d, n // d]
-        c += 1
 
 
 def squarefree_part(n: int) -> int:
@@ -285,9 +233,7 @@ def split_classifier(group: FiniteGroup, iota: int) -> ClassifierResult:
         return ClassifierResult(Fraction(1), (Fraction(1),), engine_tau,
                                 "odd half-degree")
     local, _ = complement.as_group()
-    from .groups import abelianization
-
-    gab = abelianization(local).group.order
+    gab = group_abelianization(local).group.order
     if gab % 2 == 0:
         return ClassifierResult(Fraction(2), (Fraction(2),), engine_tau,
                                 "complement has even abelianization")

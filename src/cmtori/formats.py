@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -21,16 +22,20 @@ from .errors import DatumError
 from .groups import FiniteGroup, Subgroup, construct_group
 
 
-def _schema(name: str):
-    text = resources.files("cmtori.schemas").joinpath(name).read_text()
-    return json.loads(text)
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """The schema's validator, checked against its metaschema once."""
+    schema = json.loads(resources.files("cmtori.schemas").joinpath(name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_against(name: str, payload):
-    try:
-        jsonschema.validate(payload, _schema(name))
-    except jsonschema.ValidationError as exc:
-        raise DatumError(f"payload violates schema {name}: {exc.message}")
+    # the error jsonschema.validate would raise, without rebuilding the validator
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(payload))
+    if error is not None:
+        raise DatumError(f"payload violates schema {name}: {error.message}")
 
 
 def fraction_to_json(x: Fraction):

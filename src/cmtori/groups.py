@@ -23,6 +23,7 @@ import numpy as np
 
 from .abelian import AbElement, AbHom, FinAb, smith_normal_form
 from .errors import ConstructionError
+from .landau import factorize
 
 MAX_ORDER = 512
 
@@ -245,10 +246,13 @@ def units_mod(n: int) -> FiniteGroup:
     """Multiplicative group of residues prime to n, indexed in increasing residue order."""
     if n < 1:
         raise ConstructionError("modulus must be positive", n=n)
+    if n >= 1 << 63:
+        # phi(n) >= sqrt(n / 2) is far above the cap; factorize stops at 2^63
+        raise ConstructionError("group order exceeds the hard cap", modulus=n, cap=MAX_ORDER)
+    _check_order(math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items()))
     residues = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
     if n == 1:
         residues = [1]
-    _check_order(len(residues))
     res = np.array(residues)
     index = np.zeros(n, dtype=np.int64)
     index[res % n] = np.arange(len(residues))  # mod n: for n = 1 the residue 1 is 0
@@ -383,7 +387,7 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         g = self.group
-        mem = set(elems)
+        mem = self._members
         if g.identity not in mem:
             raise ConstructionError("subgroup misses the identity")
         if _greedy_generators(g.table, g.identity, elems, mem) is not None:
@@ -404,11 +408,15 @@ class Subgroup:
     def index(self) -> int:
         return self.group.order // self.order
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
     def __contains__(self, g: int) -> bool:
-        return g in set(self.elements)
+        return g in self._members
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return set(other.elements) <= set(self.elements)
+        return self._members.issuperset(other.elements)
 
     def is_cyclic(self) -> bool:
         return any(self.group.element_order(g) == self.order for g in self.elements)

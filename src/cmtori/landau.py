@@ -4,7 +4,8 @@ A Landau pair is a pair of odd primes (p, q) with p = 1 + a^2 and
 q = 1 + p b^2; the search enumerates p = 1 + 4a^2 (only even squares can
 give an odd p) and then probes q over the b range.  Two pairs are
 disjoint exactly when their p differ, because p is recovered from q as
-the squarefree part of q - 1.
+the squarefree part of q - 1.  The module also holds the 64-bit
+factorization built on the same Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -90,6 +91,59 @@ def p_from_q(q: int) -> int:
 
     return squarefree_part(q - 1)
 
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime-power factorization by trial division then Brent's rho walk."""
+    if n < 1 or n >= _SIGNED_LIMIT:
+        raise DatumError("factorization supports 1 <= n < 2^63", n=n)
+    out: dict[int, int] = {}
+
+    def record(p):
+        out[p] = out.get(p, 0) + 1
+
+    for p in (2, 3, 5):
+        while n % p == 0:
+            record(p)
+            n //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    w = 0
+    while d * d <= n and d < 10 ** 6:
+        while n % d == 0:
+            record(d)
+            n //= d
+        d += wheel[w]
+        w = (w + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime_u64(m):
+            record(m)
+            continue
+        stack.extend(_brent_rho_split(m))
+    return dict(sorted(out.items()))
+
+
+def _brent_rho_split(n: int):
+    """One nontrivial factorization n = a * b of an odd composite."""
+    if n % 2 == 0:
+        return [2, n // 2]
+    c = 1
+    while True:
+        x = 2
+        y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return [d, n // d]
+        c += 1
 
 @dataclass(frozen=True)
 class LandauPair:

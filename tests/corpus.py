@@ -1,17 +1,24 @@
 """Shared norm-torus data used across the engine, oracle, and acceptance tests."""
 
+import random
+from itertools import combinations
+
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.groups import (
     Subgroup,
     center,
+    closure,
     cyclic,
     dihedral,
     direct_product,
     full_subgroup,
+    is_normal,
     quaternion8,
     subgroup_generated,
     trivial_subgroup,
+    units_mod,
 )
+from cmtori.transfer import cyclic_relative_quotient
 
 
 def imag_quadratic():
@@ -153,3 +160,69 @@ def cm_corpus():
         ("z4xz4_product", z4xz4_product(),
          dict(h1=(), h1n1=(2, 2), prim=4, sha=(), tau=(1, 1))),
     ]
+
+
+# ---------------------------------------------------------------------------
+# seeded random data: normal outer subgroups with cyclic relative quotients
+# ---------------------------------------------------------------------------
+
+def all_subgroups(g):
+    seen = set()
+    elems = list(g.elements())
+    for size in (0, 1, 2, 3):
+        for gens in combinations(elems, size):
+            seen.add(closure(g, gens))
+    return [Subgroup(g, e) for e in sorted(seen, key=lambda e: (len(e), e))]
+
+
+def candidate_pairs(g, subgroups):
+    out = []
+    for outer in subgroups:
+        if not is_normal(g, outer):
+            continue
+        for inner in subgroups:
+            if not outer.contains_subgroup(inner) or inner.order == outer.order:
+                continue
+            local, embed = outer.as_group()
+            idx = {p: i for i, p in enumerate(embed)}
+            inner_local = Subgroup(local, tuple(sorted(idx[x] for x in inner.elements)))
+            if not is_normal(local, inner_local):
+                continue
+            quot, _, _ = cyclic_relative_quotient(outer, inner)
+            n = quot.group
+            if not any(n.element_order(x) == n.order for x in n.elements()):
+                continue
+            out.append(TorusPair(inner, outer))
+    return out
+
+
+def admissible_iota(g, pairs):
+    for i in sorted(center(g).elements):
+        if g.element_order(i) != 2:
+            continue
+        if all(p.relative_degree == 2 and i in p.outer and i not in p.inner
+               for p in pairs):
+            return i
+    return None
+
+
+def fuzz_data():
+    """Four seeded data per group of a pool of small groups (ten groups)."""
+    pool = [cyclic(4), cyclic(6), units_mod(8), units_mod(12), dihedral(3),
+            dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)).group,
+            cyclic(8), direct_product(cyclic(3), cyclic(3)).group]
+    rng = random.Random(20260811)
+    out = []
+    for g in pool:
+        subgroups = all_subgroups(g)
+        pairs = candidate_pairs(g, subgroups)
+        if not pairs:
+            continue
+        for _ in range(4):
+            chosen = tuple(rng.choice(pairs)
+                           for _ in range(rng.choice((1, 1, 2))))
+            iota = admissible_iota(g, chosen) if rng.random() < 0.5 else None
+            extras = tuple(rng.choice(subgroups) for _ in range(rng.choice((0, 1))))
+            out.append(NormTorusDatum(g, chosen, iota=iota,
+                                      decomposition_groups=extras))
+    return out

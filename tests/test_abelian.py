@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cmtori.abelian import (
@@ -8,6 +9,7 @@ from cmtori.abelian import (
     FinAb,
     annihilator,
     cokernel_of_hom,
+    cokernel_torsion,
     direct_sum,
     dual_group,
     dual_hom,
@@ -23,6 +25,7 @@ from cmtori.abelian import (
     subgroup_of,
     zero_hom,
 )
+from cmtori.errors import InternalCheckError
 
 
 def det(m):
@@ -257,3 +260,56 @@ def test_factor_through():
     f = AbHom(FinAb((2,)), a, ((2,),))
     g = factor_through(sub.inclusion, f)
     assert sub.inclusion.compose(g).matrix == f.matrix
+
+
+def _random_unimodular(rng, n, steps):
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            q = rng.randrange(-3, 4)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return tuple(tuple(row) for row in m)
+
+
+def test_cokernel_torsion_against_smith_form():
+    # a = u d v with divisors of n on the diagonal of d (zeros allowed):
+    # coker(a) has torsion of exponent dividing n, as H^q has for |G| = n
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.choice((2, 4, 6, 8, 12, 16, 24, 27, 36, 60))
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 8)
+        divisors = [d for d in range(1, n + 1) if n % d == 0] + [0]
+        diag = [[rng.choice(divisors) if i == j else 0 for j in range(cols)]
+                for i in range(rows)]
+        a = mat_mul(mat_mul(_random_unimodular(rng, rows, 12), tuple(map(tuple, diag))),
+                    _random_unimodular(rng, cols, 12))
+        expected = tuple(d for d in smith_normal_form(a).diagonal if d > 1)
+        tors = cokernel_torsion(np.array(a, dtype=np.int64), n)
+        assert tors.group.factors == expected, (a, n)
+        gens = tors.generators
+        for j, (gen, d) in enumerate(zip(gens, expected)):
+            assert tors.coordinates(gen) == tuple(int(i == j) for i in range(len(gens)))
+            assert solve_matrix(a, tuple((d * int(x),) for x in gen)) is not None
+        for _ in range(4):
+            w = [rng.randrange(-20, 21) for _ in range(cols)]
+            c = [rng.randrange(-30, 31) for _ in gens]
+            x = np.array(a, dtype=np.int64) @ np.array(w, dtype=np.int64)
+            x = x + sum((ci * g for ci, g in zip(c, gens)), np.zeros(rows, dtype=np.int64))
+            assert tors.coordinates(x) == tuple(ci % d for ci, d in zip(c, expected))
+
+
+def test_cokernel_torsion_rejects_free_vectors_and_large_divisors():
+    # coker of diag(2, 4, 0) on Z^3: (0, 0, 1) is free, not torsion
+    a = np.array(((2, 0, 0), (0, 4, 0), (0, 0, 0)), dtype=np.int64)
+    tors = cokernel_torsion(a, 4)
+    assert tors.group.factors == (2, 4)
+    with pytest.raises(InternalCheckError):
+        tors.coordinates(np.array((0, 0, 1)))
+    with pytest.raises(InternalCheckError):
+        tors.coordinates(np.array((1, 1, 3)))
+    assert tors.coordinates(np.array((1, 3, 0))) is not None
+    # an elementary divisor 16 when the exponent is claimed to be 4
+    with pytest.raises(InternalCheckError):
+        cokernel_torsion(np.array(((16, 0), (0, 1)), dtype=np.int64), 4)

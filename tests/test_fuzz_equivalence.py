@@ -6,94 +6,26 @@ give identical H^1, Sha^2, and tau through the transfer fast path and
 the bar-resolution oracle.
 """
 
-import random
-from itertools import combinations
-
 from cmtori.cohomology import cohomology, ono_tamagawa, sha_group
-from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import tamagawa
-from cmtori.groups import (
-    Subgroup,
-    center,
-    closure,
-    cyclic,
-    dihedral,
-    direct_product,
-    is_normal,
-    quaternion8,
-    units_mod,
-)
 from cmtori.lattice import character_lattices
-from cmtori.transfer import cyclic_relative_quotient
 
-
-def all_subgroups(g):
-    seen = set()
-    elems = list(g.elements())
-    for size in (0, 1, 2, 3):
-        for gens in combinations(elems, size):
-            seen.add(closure(g, gens))
-    return [Subgroup(g, e) for e in sorted(seen, key=lambda e: (len(e), e))]
-
-
-def candidate_pairs(g, subgroups):
-    out = []
-    for outer in subgroups:
-        if not is_normal(g, outer):
-            continue
-        for inner in subgroups:
-            if not outer.contains_subgroup(inner) or inner.order == outer.order:
-                continue
-            local, embed = outer.as_group()
-            idx = {p: i for i, p in enumerate(embed)}
-            inner_local = Subgroup(local, tuple(sorted(idx[x] for x in inner.elements)))
-            if not is_normal(local, inner_local):
-                continue
-            quot, _, _ = cyclic_relative_quotient(outer, inner)
-            n = quot.group
-            if not any(n.element_order(x) == n.order for x in n.elements()):
-                continue
-            out.append(TorusPair(inner, outer))
-    return out
-
-
-def admissible_iota(g, pairs):
-    for i in sorted(center(g).elements):
-        if g.element_order(i) != 2:
-            continue
-        if all(p.relative_degree == 2 and i in p.outer and i not in p.inner
-               for p in pairs):
-            return i
-    return None
+from corpus import fuzz_data
 
 
 def test_random_data_agree():
-    pool = [cyclic(4), cyclic(6), units_mod(8), units_mod(12), dihedral(3),
-            dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)).group,
-            cyclic(8), direct_product(cyclic(3), cyclic(3)).group]
-    rng = random.Random(20260811)
     checked = 0
-    for g in pool:
-        subgroups = all_subgroups(g)
-        pairs = candidate_pairs(g, subgroups)
-        if not pairs:
-            continue
-        for _ in range(4):
-            chosen = tuple(rng.choice(pairs)
-                           for _ in range(rng.choice((1, 1, 2))))
-            iota = admissible_iota(g, chosen) if rng.random() < 0.5 else None
-            extras = tuple(rng.choice(subgroups) for _ in range(rng.choice((0, 1))))
-            datum = NormTorusDatum(g, chosen, iota=iota,
-                                   decomposition_groups=extras)
-            engine_report = tamagawa(datum)
-            lats = character_lattices(datum)
-            decs = datum.effective_decomposition_set()
-            oracle_h1 = cohomology(lats.torus, 1).group
-            oracle_sha = sha_group(lats.torus, 2, decs)
-            label = (g.name, [(p.inner.elements, p.outer.elements) for p in chosen],
-                     iota, [e.elements for e in extras])
-            assert oracle_h1.factors == engine_report.h1_torus.factors, label
-            assert oracle_sha.factors == engine_report.sha2.factors, label
-            assert ono_tamagawa(datum) == engine_report.tau, label
-            checked += 1
+    for datum in fuzz_data():
+        engine_report = tamagawa(datum)
+        lats = character_lattices(datum)
+        decs = datum.effective_decomposition_set()
+        oracle_h1 = cohomology(lats.torus, 1).group
+        oracle_sha = sha_group(lats.torus, 2, decs)
+        label = (datum.group.name,
+                 [(p.inner.elements, p.outer.elements) for p in datum.pairs],
+                 datum.iota, [e.elements for e in datum.decomposition_groups])
+        assert oracle_h1.factors == engine_report.h1_torus.factors, label
+        assert oracle_sha.factors == engine_report.sha2.factors, label
+        assert ono_tamagawa(datum) == engine_report.tau, label
+        checked += 1
     assert checked >= 30

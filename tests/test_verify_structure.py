@@ -67,7 +67,6 @@ def test_xi_obstruction_not_applicable_without_hypotheses():
         xi_obstruction(q8_cm())
 
 
-@pytest.mark.slow
 def test_xi_obstruction_on_split_a4_case():
     # complement with even degree and odd abelianization: A4 x <iota>
     from cmtori.datum import NormTorusDatum, TorusPair
