@@ -249,6 +249,12 @@ def test_order_cap():
         cyclic(513)
     with pytest.raises(ConstructionError):
         direct_product(cyclic(32), cyclic(32))
+    # phi(n) is checked before any residue is listed
+    with pytest.raises(ConstructionError) as exc:
+        units_mod(10 ** 8)
+    assert exc.value.payload()["error"]["context"] == {"order": 40_000_000, "cap": 512}
+    with pytest.raises(ConstructionError, match="hard cap"):
+        units_mod(1 << 63)
 
 
 def test_latin_but_no_identity_rejected():
