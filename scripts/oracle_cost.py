@@ -1,21 +1,27 @@
-"""Degree-2 cost of the bar-resolution oracle against the group order.
+"""Cost of the oracle's lattices and degree-2 cohomology against the group order.
 
 For each case below, a fresh interpreter builds the character lattices
-of a datum and computes H^2 of one of them with ``cmtori.cohomology``,
-timing only that call (cold caches, as for a CLI command).  Each case is
-run ``--runs`` times in turn; the script writes the median and quartiles
-of the time, the peak resident set of the process (``ru_maxrss``) after
-and before the call, with the shape of d_1 that the oracle eliminates,
-to ``BENCH_oracle_q2.json``:
+of a datum with ``cmtori.lattice.character_lattices`` and, for the
+degree-2 cases, computes H^2 of one of them with ``cmtori.cohomology``,
+timing each call on its own (cold caches, as for a CLI command).  Each
+case is run ``--runs`` times in turn; the script writes the median and
+quartiles of the lattice time (``lattice_s``) and of the H^2 time, the
+peak resident set of the process (``ru_maxrss``) after and before the
+H^2 call, with the shape of d_1 that the oracle eliminates, to
+``BENCH_oracle_q2.json``:
 
     python scripts/oracle_cost.py --runs 5
 
-Run it from the root of a checkout; it imports ``src/``.  The cases are
-the CM torus lattice of a cyclic group of each order 4, 8, 12, 16, 24,
-plus the heaviest lattice the test suite and the benchmark meet at two
-orders: the rank-15 norm-one lattice of Ono's (Z/2)^4 example (order 16)
-and the rank-13 torus lattice of A4 x C2 (order 24).  This is the
-evidence for the degree-2 budget, ``CohomologyBudget.max_order_q2``.
+Run it from the root of a checkout; it imports ``src/``.  The degree-2
+cases are the CM torus lattice of a cyclic group of each order 4, 8, 12,
+16, 24, plus the heaviest lattice the test suite and the benchmark meet
+at two orders: the rank-15 norm-one lattice of Ono's (Z/2)^4 example
+(order 16) and the rank-13 torus lattice of A4 x C2 (order 24).  This is
+the evidence for the degree-2 budget, ``CohomologyBudget.max_order_q2``.
+The lattice-only cases are the CM tori of the cyclic group C_n and the
+dihedral group D_n of each order 32, 48, 64 and 128, where degree 2 on
+the bar resolution is out of reach; for them the peak resident set is
+read after the lattices are built.
 """
 
 import argparse
@@ -33,18 +39,22 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (4, 8, 12, 16, 24)
+LATTICE_ORDERS = (32, 48, 64, 128)
 
-# (label, order); the child builds each from its label
-CASES = [(f"C{n} CM torus", n) for n in ORDERS] + [
-    ("(Z/2)^4 Ono norm-one", 16),
-    ("A4 x C2 CM torus", 24),
-]
+# (label, order, whether H^2 is computed); the child builds each from its label
+CASES = [(f"C{n} CM torus", n, True) for n in ORDERS] + [
+    ("(Z/2)^4 Ono norm-one", 16, True),
+    ("A4 x C2 CM torus", 24, True),
+] + [(f"{family}{n if family == 'C' else n // 2} CM torus", n, False)
+     for family in "CD" for n in LATTICE_ORDERS]
 
 
 def _datum(label):
     from cmtori.datum import NormTorusDatum, TorusPair
     from cmtori.groups import (
+        center,
         cyclic,
+        dihedral,
         direct_product,
         from_permutation_generators,
         full_subgroup,
@@ -59,6 +69,9 @@ def _datum(label):
         a4 = from_permutation_generators([[[0, 1, 2]], [[1, 2, 3]]], 4)
         prod = direct_product(a4, cyclic(2))
         g, iota = prod.group, prod.pack((a4.identity, 1))
+    elif label.startswith("D"):
+        g = dihedral(int(label.split()[0][1:]))
+        iota = next(z for z in center(g).elements if z != g.identity)
     else:
         n = int(label.split()[0][1:])
         g, iota = cyclic(n), n // 2
@@ -67,24 +80,26 @@ def _datum(label):
 
 
 def child(label):
-    """Runs in a fresh interpreter: one H^2, timed; prints one JSON line."""
+    """Runs in a fresh interpreter: the lattices and one H^2, each timed;
+    prints one JSON line."""
     sys.path.insert(0, str(ROOT / "src"))
     from cmtori.cohomology import CohomologyBudget, cohomology
     from cmtori.lattice import character_lattices
 
     datum, kind = _datum(label)
-    lattice = getattr(character_lattices(datum), kind)
-    budget = CohomologyBudget(max_order_q2=max(ORDERS))
-    base_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
-    h2 = cohomology(lattice, 2, budget).group
-    seconds = time.perf_counter() - start
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    m = datum.group.order - 1
-    print(json.dumps({
-        "seconds": seconds, "peak_rss_mb": peak_kib / 1024, "base_rss_mb": base_kib / 1024,
-        "rank": lattice.rank, "d1_shape": [lattice.rank * m * m, lattice.rank * m],
-        "h2": list(h2.factors)}))
+    lattice = getattr(character_lattices(datum), kind)
+    out = {"lattice_s": time.perf_counter() - start, "rank": lattice.rank}
+    base_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if next(h2 for case, _, h2 in CASES if case == label):
+        budget = CohomologyBudget(max_order_q2=max(ORDERS))
+        start = time.perf_counter()
+        h2 = cohomology(lattice, 2, budget).group
+        m = datum.group.order - 1
+        out.update(seconds=time.perf_counter() - start, base_rss_mb=base_kib / 1024,
+                   d1_shape=[lattice.rank * m * m, lattice.rank * m], h2=list(h2.factors))
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps(out))
 
 
 def _cpu_model():
@@ -105,28 +120,29 @@ def main(argv=None):
     parser.add_argument("--out", default=str(ROOT / "BENCH_oracle_q2.json"))
     args = parser.parse_args(argv)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    samples = {label: [] for label, _ in CASES}
+    samples = {label: [] for label, _, _ in CASES}
     for _ in range(args.runs):
-        for label, _ in CASES:
+        for label, _, _ in CASES:
             out = subprocess.run([sys.executable, __file__, "--child", label],
                                  capture_output=True, text=True, check=True, env=env)
             samples[label].append(json.loads(out.stdout.splitlines()[-1]))
     rows = []
-    for label, order in CASES:
+    for label, order, h2 in CASES:
         runs = samples[label]
-        rows.append({
-            "case": label, "order": order, "rank": runs[0]["rank"],
-            "d1_shape": runs[0]["d1_shape"], "h2": runs[0]["h2"],
-            "seconds": _quartiles([r["seconds"] for r in runs]),
-            "peak_rss_mb": _quartiles([r["peak_rss_mb"] for r in runs]),
-            "base_rss_mb": _quartiles([r["base_rss_mb"] for r in runs]),
-            "runs": len(runs),
-        })
-        print(f"{label:24s} |G|={order:3d} d1={runs[0]['d1_shape']} "
-              f"H2={runs[0]['h2']} {rows[-1]['seconds']['median']:.3f} s "
-              f"peak {rows[-1]['peak_rss_mb']['median']:.1f} MiB")
+        row = {"case": label, "order": order, "rank": runs[0]["rank"],
+               "lattice_s": _quartiles([r["lattice_s"] for r in runs])}
+        if h2:
+            row.update(d1_shape=runs[0]["d1_shape"], h2=runs[0]["h2"],
+                       seconds=_quartiles([r["seconds"] for r in runs]),
+                       base_rss_mb=_quartiles([r["base_rss_mb"] for r in runs]))
+        row.update(peak_rss_mb=_quartiles([r["peak_rss_mb"] for r in runs]), runs=len(runs))
+        rows.append(row)
+        degree2 = (f"d1={row['d1_shape']} H2={row['h2']} {row['seconds']['median']:.3f} s "
+                   if h2 else "")
+        print(f"{label:24s} |G|={order:3d} lattices {row['lattice_s']['median']:.3f} s "
+              f"{degree2}peak {row['peak_rss_mb']['median']:.1f} MiB")
     record = {
-        "what": "cohomology(lattice, 2) from a cold start, per case",
+        "what": "character_lattices and cohomology(lattice, 2) from a cold start, per case",
         "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                     "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__},

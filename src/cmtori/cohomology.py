@@ -121,8 +121,7 @@ def coboundary(lattice: GLattice, q: int, cochains) -> np.ndarray:
     rank = lattice.rank
     k = x.shape[1] if x.ndim == 2 else 1
     f = x.reshape(m ** q, rank, k)
-    acts = np.array([lattice.action[g] for g in nonid], dtype=np.int64)
-    out = np.matmul(acts.reshape(m, 1, rank, rank), f[None])
+    out = np.matmul(lattice.action[list(nonid)].reshape(m, 1, rank, rank), f[None])
     for i in range(q):
         inner = f.reshape(m ** i, m, m ** (q - 1 - i), rank, k)
         padded = np.concatenate(
@@ -161,20 +160,14 @@ class Cohomology:
 
 
 def _invariants_rank(lattice: GLattice) -> int:
-    g = lattice.group
     rank = lattice.rank
     if rank == 0:
         return 0
-    rows = []
-    for x in g.elements():
-        if x == g.identity:
-            continue
-        mat = lattice.action[x]
-        for i in range(rank):
-            rows.append(tuple(mat[i][j] - (1 if i == j else 0) for j in range(rank)))
-    if not rows:
+    nonid = list(_nonid(lattice.group))
+    if not nonid:
         return rank
-    basis = kernel_basis(tuple(rows), rank)
+    rows = (lattice.action[nonid] - np.eye(rank, dtype=np.int64)).reshape(-1, rank)
+    basis = kernel_basis(rows.tolist(), rank)
     return len(basis[0]) if basis and basis[0] else 0
 
 
@@ -257,38 +250,30 @@ def sha_group(lattice: GLattice, q: int, dec_groups,
     return kernel_of_hom(stacked).group
 
 
-def _section_and_retraction(incl, proj, b_rank):
+def _section_and_retraction(incl: np.ndarray, proj: np.ndarray):
     """Integer section of proj and retraction of incl for a split pair."""
-    c_rank = len(proj)
-    section = solve_matrix(proj, identity(c_rank))
+    section = solve_matrix(proj.tolist(), identity(proj.shape[0]))
     if section is None:
         raise InternalCheckError("projection admits no integral section")
-    a_rank = len(incl[0]) if incl and incl[0] else 0
-    if a_rank:
-        t_incl = tuple(zip(*incl))
-        t_li = solve_matrix(t_incl, identity(a_rank))
-        if t_li is None:
-            raise InternalCheckError("inclusion admits no integral retraction")
-        li = tuple(zip(*t_li))
-    else:
-        li = ()
-    return section, li
+    retraction = solve_matrix(incl.T.tolist(), identity(incl.shape[1]))
+    if retraction is None:
+        raise InternalCheckError("inclusion admits no integral retraction")
+    return (np.array(section, dtype=np.int64).reshape(proj.shape[::-1]),
+            np.array(retraction, dtype=np.int64).reshape(incl.shape).T)
 
 
 def connecting_hom(sub_lattices, incl, proj, q: int,
                    budget: CohomologyBudget = DEFAULT_BUDGET):
     """delta : H^q(G, C) -> H^{q+1}(G, A) for a lattice sequence A -> B -> C.
 
-    ``sub_lattices`` = (A, B, C); incl and proj are the matrices of A -> B
-    and B -> C.  The sequence must be Z-split exact (true for lattices).
+    ``sub_lattices`` = (A, B, C); incl and proj are the int64 matrices of
+    A -> B and B -> C.  The sequence must be Z-split exact (true for
+    lattices).
     """
     a_lat, b_lat, c_lat = sub_lattices
     coh_c = cohomology(c_lat, q, budget)
     coh_a = cohomology(a_lat, q + 1, budget)
-    section, li = _section_and_retraction(incl, proj, b_lat.rank)
-    section = np.array(section, dtype=np.int64).reshape(b_lat.rank, c_lat.rank)
-    li = np.array(li, dtype=np.int64).reshape(a_lat.rank, b_lat.rank)
-    incl = np.array(incl, dtype=np.int64).reshape(b_lat.rank, a_lat.rank)
+    section, li = _section_and_retraction(incl, proj)
     cols = []
     for j in range(coh_c.group.rank):
         lifted = coh_c.representative(j).reshape(-1, c_lat.rank) @ section.T
@@ -373,11 +358,9 @@ def _twisted_invariant_order(pair, inner_ab: FinAb) -> int:
     from .groups import Subgroup as _Sub
     from .transfer import cyclic_relative_quotient
 
-    local, embed = pair.outer.as_group()
-    local_index = {p: i for i, p in enumerate(embed)}
-    inner_local = _Sub(local, tuple(sorted(local_index[x] for x in pair.inner.elements)))
+    local, _ = pair.outer.as_group()
     single = NormTorusDatum(local, (TorusPair(
-        inner_local, _Sub(local, tuple(local.elements()))),))
+        pair.outer.localize(pair.inner), _Sub(local, tuple(local.elements()))),))
     block = character_lattices(single).norm_one
     a_i = pair.relative_degree - 1
     if a_i == 0 or inner_ab.is_trivial:
@@ -386,7 +369,7 @@ def _twisted_invariant_order(pair, inner_ab: FinAb) -> int:
     gen = next(q for q in quot.group.elements()
                if quot.group.element_order(q) == quot.group.order)
     lift_local = quot.representatives[gen]
-    rho = block.action[lift_local]
+    rho = block.action[lift_local].tolist()
     dual_inner = FinAb(inner_ab.factors)
     summed = direct_sum([dual_inner] * a_i)
     total = zero_hom(summed.group, summed.group)

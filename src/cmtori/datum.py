@@ -110,10 +110,8 @@ def _cyclic_relative_quotients(datum: NormTorusDatum) -> bool:
     from .transfer import cyclic_relative_quotient
 
     for pair in datum.pairs:
-        local, embed = pair.outer.as_group()
-        local_index = {p: i for i, p in enumerate(embed)}
-        inner_local = Subgroup(local, tuple(sorted(local_index[h] for h in pair.inner.elements)))
-        if not is_normal(local, inner_local):
+        local, _ = pair.outer.as_group()
+        if not is_normal(local, pair.outer.localize(pair.inner)):
             return False
         quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
         n = quot.group

@@ -152,18 +152,13 @@ def primitive_part(datum: NormTorusDatum) -> PrimitivePart:
     g_ab = group_abelianization(g)
     w_gens = []
     for dec in datum.effective_decomposition_set():
-        local, embed = dec.as_group()
-        local_index = {p: i for i, p in enumerate(embed)}
+        local, _ = dec.as_group()
         d_ab, _ = subgroup_abelianization(dec)
         local_pairs = []
         for pair in datum.pairs:
-            di = intersect(dec, pair.outer)
-            di_local = Subgroup(local, tuple(sorted(local_index[x] for x in di.elements)))
+            di_local = dec.localize(intersect(dec, pair.outer))
             for twisted_inner in _double_coset_inner_twists(g, dec, pair):
-                hi = intersect(dec, twisted_inner)
-                hi_local = Subgroup(local, tuple(sorted(local_index[x]
-                                                        for x in hi.elements)))
-                local_pairs.append((di_local, hi_local))
+                local_pairs.append((di_local, dec.localize(intersect(dec, twisted_inner))))
         if local_pairs:
             homs = [relative_transfer(local, o, i) for o, i in local_pairs]
             summed = direct_sum([h.codomain for h in homs])

@@ -306,6 +306,9 @@ def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
 def _perm_from_cycles(cycles, degree):
     img = list(range(degree))
     for cyc in cycles:
+        for x in cyc:
+            if not (isinstance(x, int) and 0 <= x < degree):
+                raise ConstructionError("cycle entry out of range", entry=x, degree=degree)
         if len(cyc) < 2:
             continue
         for i, x in enumerate(cyc):
@@ -361,6 +364,9 @@ def construct_group(spec) -> FiniteGroup:
         return from_permutation_generators(
             spec["permutation_generators"], int(spec["degree"]), spec.get("name", ""))
     family = spec.get("family")
+    needs = {"cyclic": "n", "dihedral": "n", "units_mod": "n", "product": "factors"}.get(family)
+    if needs is not None and needs not in spec:
+        raise ConstructionError(f"{family} family spec needs {needs!r}", family=family)
     if family == "cyclic":
         return cyclic(int(spec["n"]))
     if family == "dihedral":
@@ -387,6 +393,10 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         g = self.group
+        if elems and (elems[0] < 0 or elems[-1] >= g.order):
+            raise ConstructionError("subgroup element out of range",
+                                    element=elems[0] if elems[0] < 0 else elems[-1],
+                                    order=g.order)
         mem = self._members
         if g.identity not in mem:
             raise ConstructionError("subgroup misses the identity")
@@ -424,6 +434,18 @@ class Subgroup:
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Standalone Cayley table; second value maps local index -> parent element."""
         return _subgroup_as_group(self.group, self.elements)
+
+    def local_index(self) -> dict[int, int]:
+        """Parent element -> its index in the table of ``as_group``.
+
+        Built on each call: kept on every cached subgroup, the dicts cost
+        more memory than rebuilding them costs time."""
+        return {p: i for i, p in enumerate(self.elements)}
+
+    def localize(self, other: "Subgroup") -> "Subgroup":
+        """A subgroup of this one, as a subgroup of the table of ``as_group``."""
+        index = self.local_index()
+        return Subgroup(self.as_group()[0], tuple(index[x] for x in other.elements))
 
     def __hash__(self):
         return hash((self.group, self.elements))

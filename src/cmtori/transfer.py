@@ -81,8 +81,7 @@ def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
         if rep not in cs:
             raise ConstructionError("section representative outside its coset", rep=rep)
     sub_ab, _ = subgroup_abelianization(sub)
-    _, embed = sub.as_group()
-    local_index = {p: i for i, p in enumerate(embed)}
+    local_index = sub.local_index()
     g_ab = group_abelianization(group)
 
     def into_sub(h):
@@ -107,8 +106,7 @@ def right_transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
     parts, coset_of = _coset_assignment(group, sub, "right")
     reps = tuple(cs[0] for cs in parts)
     sub_ab, _ = subgroup_abelianization(sub)
-    _, embed = sub.as_group()
-    local_index = {p: i for i, p in enumerate(embed)}
+    local_index = sub.local_index()
     g_ab = group_abelianization(group)
     t = group.table
     inv = group.inverses
@@ -131,7 +129,7 @@ def conjugation_norm(group: FiniteGroup, sub: Subgroup) -> AbHom:
     if not is_normal(group, sub):
         raise ConstructionError("conjugation norm needs a normal subgroup")
     sub_ab, embed = subgroup_abelianization(sub)
-    local_index = {p: i for i, p in enumerate(embed)}
+    local_index = sub.local_index()
     reps, _ = canonical_section(group, sub)
     cols = []
     for j in range(sub_ab.group.rank):
@@ -169,8 +167,8 @@ class RelativeTarget:
 def relative_target(outer: Subgroup, inner: Subgroup) -> RelativeTarget:
     if not outer.contains_subgroup(inner):
         raise ConstructionError("inner subgroup not contained in outer")
-    outer_ab, embed = subgroup_abelianization(outer)
-    local_index = {p: i for i, p in enumerate(embed)}
+    outer_ab, _ = subgroup_abelianization(outer)
+    local_index = outer.local_index()
     gens = [outer_ab.project(local_index[h]) for h in inner.elements]
     image = subgroup_of(outer_ab.group, gens)
     quot, proj = cokernel_of_hom(image.inclusion)
@@ -196,14 +194,14 @@ def relative_transfer(group: FiniteGroup, outer: Subgroup, inner: Subgroup) -> A
 
 @lru_cache(maxsize=1024)
 def cyclic_relative_quotient(outer: Subgroup, inner: Subgroup):
-    """(quotient group N = outer/inner, local->parent map); requires inner normal."""
+    """(quotient group N = outer/inner, local->parent map, parent->local index);
+    requires inner normal."""
     local, embed = outer.as_group()
-    local_index = {p: i for i, p in enumerate(embed)}
-    inner_local = Subgroup(local, tuple(sorted(local_index[h] for h in inner.elements)))
+    inner_local = outer.localize(inner)
     if not is_normal(local, inner_local):
         raise ConstructionError("inner subgroup is not normal in outer")
     quot = quotient_group(local, inner_local)
-    return quot, embed, local_index
+    return quot, embed, outer.local_index()
 
 
 def transfer_cyclic_double_coset(group: FiniteGroup, outer: Subgroup,

@@ -183,10 +183,8 @@ def candidate_pairs(g, subgroups):
         for inner in subgroups:
             if not outer.contains_subgroup(inner) or inner.order == outer.order:
                 continue
-            local, embed = outer.as_group()
-            idx = {p: i for i, p in enumerate(embed)}
-            inner_local = Subgroup(local, tuple(sorted(idx[x] for x in inner.elements)))
-            if not is_normal(local, inner_local):
+            local, _ = outer.as_group()
+            if not is_normal(local, outer.localize(inner)):
                 continue
             quot, _, _ = cyclic_relative_quotient(outer, inner)
             n = quot.group

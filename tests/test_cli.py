@@ -114,6 +114,37 @@ def test_ragged_table_exit_code(tmp_path):
     assert error["context"] == {"row": 1, "length": 1}
 
 
+def _datum_error(tmp_path, payload, command=("oracle", "verify")):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli([*command, str(path)])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3
+    return error
+
+
+def test_family_without_n_exit_code(tmp_path):
+    error = _datum_error(tmp_path, {"group": {"family": "cyclic"}, "pairs": []})
+    assert error["message"] == "cyclic family spec needs 'n'"
+    assert error["context"] == {"family": "cyclic"}
+
+
+def test_cycle_entry_out_of_range_exit_code(tmp_path):
+    error = _datum_error(tmp_path, {
+        "group": {"permutation_generators": [[[0, 1, 2]], [[0, 3]]], "degree": 3},
+        "pairs": []}, ("tau", "datum"))
+    assert error["message"] == "cycle entry out of range"
+    assert error["context"] == {"entry": 3, "degree": 3}
+
+
+def test_ntilde_element_out_of_range_exit_code(tmp_path):
+    error = _datum_error(tmp_path, {"group": {"family": "cyclic", "n": 4},
+                                    "pairs": [{"H": [0], "Ntilde": [0, 2, 4]}]})
+    assert error["message"] == "subgroup element out of range"
+    assert error["context"] == {"element": 4, "order": 4}
+
+
 def test_fast_path_unavailable_exit_code(tmp_path):
     from cmtori.datum import NormTorusDatum, TorusPair
     from cmtori.groups import dihedral, subgroup_generated, trivial_subgroup

@@ -254,7 +254,7 @@ def _reference_columns(lattice, q):
     for out_positions in iter_product(range(m), repeat=q + 1):
         tup = tuple(nonid[p] for p in out_positions)
         base = index(out_positions) * rank
-        mat = lattice.action[tup[0]]
+        mat = lattice.action[tup[0]].tolist()
         if q == 0:
             for i in range(rank):
                 for j in range(rank):

@@ -91,6 +91,28 @@ def test_subgroup_generated_trivial_and_closures():
     assert subgroup_generated(u5, [two]).order == 4
 
 
+def test_localize_maps_back_to_the_parent():
+    for g in (Q8, dihedral(6), direct_product(cyclic(2), cyclic(4)).group):
+        subgroups = {closure(g, [x, y]) for x in g.elements() for y in (g.identity, 1)}
+        for outer_elems in subgroups:
+            outer = Subgroup(g, outer_elems)
+            local, embed = outer.as_group()
+            assert [embed[i] for i in range(local.order)] == list(outer.elements)
+            for inner_elems in subgroups:
+                if set(inner_elems) <= set(outer_elems):
+                    inner = outer.localize(Subgroup(g, inner_elems))
+                    assert inner.group == local
+                    assert [embed[i] for i in inner.elements] == list(inner_elems)
+
+
+def test_subgroup_element_out_of_range():
+    with pytest.raises(ConstructionError, match="out of range") as caught:
+        Subgroup(Q8, (0, 8))
+    assert caught.value.context == {"element": 8, "order": 8}
+    with pytest.raises(ConstructionError, match="out of range"):
+        Subgroup(Q8, (-1, 0))
+
+
 def test_structural_queries_q8():
     z = center(Q8)
     assert z.order == 2
