@@ -2,18 +2,45 @@
 
 A Landau pair is a pair of odd primes (p, q) with p = 1 + a^2 and
 q = 1 + p b^2; the search enumerates p = 1 + 4a^2 (only even squares can
-give an odd p) and then probes q over the b range.  Two pairs are
-disjoint exactly when their p differ, because p is recovered from q as
-the squarefree part of q - 1.  The module also holds the 64-bit
-factorization built on the same Miller-Rabin test.
+give an odd p) and then probes q over the even b (odd b give even q).
+Two pairs are disjoint exactly when their p differ, because p is
+recovered from q as the squarefree part of q - 1.  The module also holds
+the 64-bit factorization built on the same Miller-Rabin test.
+
+The search sieves before it tests.  It walks a in blocks of ``_BLOCK``
+values, sieving by the odd primes l below ``_SIEVE_BOUND``.
+
+- p-stage: a numpy residue sieve strikes every a with l | 1 + 4a^2; only
+  l = 1 (mod 4) can divide, since -1 = (2a)^2 is then a square mod l.
+  The survivors go to ``is_prime_u64``.
+- q-stage sieve: one table per l, indexed by p mod l, whose bit i is set
+  when l | 1 + p b^2 for the i-th even b of a window of 64.  The OR of
+  the tables over all l marks the b whose q certainly has a factor l.
+- A p or q below ``_SIEVE_BOUND`` may be a sieving prime itself, so it
+  bypasses the sieve and goes to ``is_prime_u64``.
+- q-stage proof: a surviving q with p > b^2 is decided by Pocklington's
+  criterion (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), for
+  the bases c = 2, 3, 5, 7 in turn.  If c^(q-1) != 1 (mod q), q is
+  composite (Fermat).  If c^(q-1) = 1 and gcd(c^(b^2) - 1, q) = 1, then q
+  is prime.  Proof: let r be a prime factor of q.  The order of c mod r
+  divides q - 1 = p b^2 but not b^2, and p is prime, so p divides the
+  order, which divides r - 1: every prime factor r of q has
+  r = 1 (mod p), so r > p.  And p > b^2 gives p^2 > p b^2 = q - 1, so
+  p >= sqrt(q).  Hence every prime factor of q exceeds sqrt(q), and q is
+  prime.  A q that no base decides, and every q with p <= b^2, goes to
+  ``is_prime_u64``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import DatumError, SearchRangeError
 
@@ -22,6 +49,12 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
 
 U64_LIMIT = 1 << 64
 _SIGNED_LIMIT = 1 << 63
+
+# the odd primes below this bound sieve p and q (see the module docstring)
+_SIEVE_BOUND = 1024
+# values of a per block, so a block's numpy arrays stay a few tens of KiB
+_BLOCK = 4096
+_CERTIFY_BASES = (2, 3, 5, 7)
 
 
 def is_prime_u64(n: int) -> bool:
@@ -173,21 +206,107 @@ class SearchResult:
                 f"b_max={self.b_max}, elapsed_ms={self.elapsed_ms})")
 
 
+@lru_cache(maxsize=1)
+def _sieve_primes():
+    """The odd primes l below ``_SIEVE_BOUND``, the first row of each l in
+    a q table, and the pairs (l, r) with l | 1 + 4a^2 exactly when one of
+    the r for l has a = r (mod l)."""
+    ells = [n for n in range(3, _SIEVE_BOUND, 2)
+            if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    offsets = np.cumsum([0] + ells[:-1]).tolist()
+    p_roots = [(ell, r) for ell in ells if ell % 4 == 1
+               for r in np.flatnonzero((4 * np.arange(ell) ** 2 + 1) % ell == 0).tolist()]
+    return ells, offsets, p_roots
+
+
+# a table takes 8 bytes a row over the sum of the sieving primes (626 KiB
+# at 1024); four cover b <= 512, and a wider b range rebuilds them per block
+@lru_cache(maxsize=4)
+def _q_table(window):
+    """Row offset(l) + (p mod l), bit i: l | 1 + p b^2 for b = 128 window + 2i + 2."""
+    ells, offsets, _ = _sieve_primes()
+    rows, bits = [], []
+    for ell, offset in zip(ells, offsets):
+        for i in range(64):
+            b = 128 * window + 2 * i + 2
+            if b % ell:
+                # l | 1 + p b^2 exactly when p = -1/b^2 (mod l)
+                rows.append(offset + pow(-b * b, -1, ell))
+                bits.append(1 << i)
+    table = np.zeros(offsets[-1] + ells[-1], dtype=np.uint64)
+    np.bitwise_or.at(table, rows, np.array(bits, dtype=np.uint64))
+    table.flags.writeable = False
+    return table
+
+
+def _sieve_p(lo, hi):
+    """The a in [lo, hi) for which no sieving prime l < p divides p = 1 + 4a^2."""
+    _, _, p_roots = _sieve_primes()
+    alive = np.ones(hi - lo, dtype=bool)
+    for ell, r in p_roots:
+        alive[(r - lo) % ell::ell] = False
+    small = math.isqrt((_SIEVE_BOUND - 2) // 4)  # the last a with p < _SIEVE_BOUND
+    alive[:max(0, small - lo + 1)] = True
+    return (np.flatnonzero(alive) + lo).tolist()
+
+
+def _sieve_q(ps, window):
+    """For each p, the bits i of the window with a sieving prime dividing
+    1 + p b^2, b = 128 window + 2i + 2."""
+    ells, offsets, _ = _sieve_primes()
+    table = _q_table(window)
+    ps = np.array(ps, dtype=np.int64)
+    mask = np.zeros(len(ps), dtype=np.uint64)
+    for ell, offset in zip(ells, offsets):
+        mask |= table[offset + ps % ell]
+    return mask.tolist()
+
+
+def _certify(q, p, b2):
+    """True if q = 1 + p b2 is proved prime, False if proved composite,
+    None if undecided.  Sound only for a prime p > b2."""
+    for c in _CERTIFY_BASES:
+        x = pow(c, b2, q)
+        if pow(x, p, q) != 1:
+            return False
+        if math.gcd(x - 1, q) == 1:
+            return True
+    return None
+
+
 def _scan_chunk(args):
+    """The pairs (a, p, b, q) with a_lo <= a < a_hi and even b <= b_max,
+    block by block of a, then window by window of 64 even b."""
     a_lo, a_hi, b_max = args
     found = []
-    for a in range(a_lo, a_hi):
-        p = 1 + 4 * a * a
-        if not is_prime_u64(p):
-            continue
-        # odd b gives even q, never a prime here
-        for b in range(2, b_max + 1, 2):
-            q = 1 + p * b * b
-            if q >= _SIGNED_LIMIT:
-                raise SearchRangeError("q left the supported range",
-                                       a=a, b=b, q=q)
-            if is_prime_u64(q):
-                found.append((a, p, b, q))
+    half = b_max // 2  # the number of even b
+    for lo in range(a_lo, a_hi, _BLOCK):
+        primes = [(a, p) for a in _sieve_p(lo, min(lo + _BLOCK, a_hi))
+                  if is_prime_u64(p := 1 + 4 * a * a)]
+        for window in range((half + 63) // 64):
+            every = (1 << min(64, half - 64 * window)) - 1
+            masks = _sieve_q([p for _, p in primes], window)
+            for (a, p), mask in zip(primes, masks):
+                bits = every & ~mask
+                if window == 0:
+                    b = 2
+                    while 1 + p * b * b < _SIEVE_BOUND:
+                        bits |= (1 << (b // 2 - 1)) & every
+                        b += 2
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    b = 128 * window + 2 * low.bit_length()
+                    b2 = b * b
+                    q = 1 + p * b2
+                    if q < _SIEVE_BOUND or p <= b2:
+                        prime = is_prime_u64(q)
+                    else:
+                        prime = _certify(q, p, b2)
+                        if prime is None:
+                            prime = is_prime_u64(q)
+                    if prime:
+                        found.append((a, p, b, q))
     return found
 
 
@@ -195,18 +314,21 @@ def search(a_max: int, b_max: int, workers: int = 1) -> SearchResult:
     """Enumerate Landau pairs with p = 1 + 4a^2, a <= a_max, b <= b_max.
 
     The output ordering (by (p, q)) and both counts are independent of
-    the worker count.
+    the worker count, which is clamped to the number of CPUs.
     """
     if a_max < 0 or b_max < 0:
         raise DatumError("search bounds must be nonnegative")
+    if workers < 1:
+        raise DatumError("worker count must be at least 1", workers=workers)
+    workers = min(workers, os.cpu_count() or 1)
     top_q = 1 + (1 + 4 * a_max * a_max) * b_max * b_max
     if top_q >= _SIGNED_LIMIT:
         raise SearchRangeError("search range overflows 63-bit q values",
                                max_q=top_q)
     start = time.monotonic()
     rows = []
-    if a_max >= 1:
-        if workers <= 1:
+    if a_max >= 1 and b_max >= 2:
+        if workers == 1:
             rows = _scan_chunk((1, a_max + 1, b_max))
         else:
             chunk = max(1, (a_max + workers * 4 - 1) // (workers * 4))

@@ -172,6 +172,15 @@ def test_overflow_exit_code():
     assert code == 6
 
 
+def test_landau_threads_below_one_exit_code():
+    for threads in ("0", "-2"):
+        code, out = run_cli(["landau", "search", "--a-max", "10", "--b-max", "10",
+                             "--threads", threads])
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == 3 and error["context"] == {"workers": int(threads)}
+
+
 def test_product_pipeline(tmp_path):
     from cmtori.constructors import cyclotomic
 

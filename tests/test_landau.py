@@ -1,15 +1,44 @@
 import numpy as np
 import pytest
 
+from cmtori import landau
 from cmtori.errors import DatumError, SearchRangeError
 from cmtori.landau import (
     LandauPair,
     disjoint_family,
+    factorize,
     is_landau_pair,
     is_prime_u64,
     p_from_q,
     search,
 )
+
+
+def _reference_scan(a_lo, a_hi, b_max):
+    """The search without sieve or certificate: Miller-Rabin on every p
+    and on the q of every even b."""
+    found = []
+    for a in range(a_lo, a_hi):
+        p = 1 + 4 * a * a
+        if not is_prime_u64(p):
+            continue
+        # odd b gives even q, never a prime here
+        for b in range(2, b_max + 1, 2):
+            q = 1 + p * b * b
+            if q >= 1 << 63:
+                raise SearchRangeError("q left the supported range",
+                                       a=a, b=b, q=q)
+            if is_prime_u64(q):
+                found.append((a, p, b, q))
+    return found
+
+
+def _rows(result):
+    return [(pair.a, pair.p, pair.b, pair.q) for pair in result.pairs]
+
+
+def _reference_rows(a_max, b_max):
+    return sorted(_reference_scan(1, a_max + 1, b_max), key=lambda r: (r[1], r[3]))
 
 
 def sieve(limit):
@@ -97,12 +126,87 @@ def test_search_monotone_in_bounds():
     assert search(50, 40).pair_count >= base.pair_count
 
 
+# (2000, 100): the benchmark's b range; (200, 300): three 64-bit words of
+# even b; (49, 100): every a with p <= b^2 for some b; b_max 2 and 3: one b
+@pytest.mark.parametrize("a_max, b_max", [(2000, 100), (200, 300), (49, 100),
+                                          (40, 2), (40, 3)])
+def test_search_matches_reference_scan(a_max, b_max):
+    assert _rows(search(a_max, b_max)) == _reference_rows(a_max, b_max)
+
+
+def test_search_keeps_sieving_primes_as_p_and_q():
+    ells = set(landau._sieve_primes()[0])
+    found = {(pair.p, pair.q) for pair in search(3, 6).pairs}
+    for p, q in [(5, 181), (17, 613), (37, 149), (37, 593)]:
+        assert p in ells and q in ells
+        assert (p, q) in found
+
+
+def test_certificate_needs_p_above_b_squared():
+    # q = 1 + 5 * 9702^2 is composite, every prime factor is 1 mod 5 and the
+    # certificate accepts it; only p > b^2 makes the certificate a proof
+    p, b = 5, 9702
+    q = 1 + p * b * b
+    assert factorize(q) == {13721: 1, 34301: 1}
+    assert all(r % p == 1 for r in factorize(q))
+    assert landau._certify(q, p, b * b) is True
+    assert _rows(search(1, b)) == _reference_rows(1, b)
+
+
+def test_certificate_decides_every_q_with_p_above_b_squared():
+    decided = 0
+    for a in range(50, 601):
+        p = 1 + 4 * a * a
+        if not is_prime_u64(p):
+            continue
+        for b in range(2, 101, 2):
+            q = 1 + p * b * b
+            assert landau._certify(q, p, b * b) is is_prime_u64(q), (a, b)
+            decided += 1
+    assert decided > 3000
+
+
 def test_search_deterministic_across_workers():
     one = search(300, 30, workers=1)
     two = search(300, 30, workers=2)
     assert one.pairs == two.pairs
     assert one.pair_count == two.pair_count
     assert one.distinct_p_count == two.distinct_p_count
+
+
+def test_search_with_several_words_deterministic_across_workers():
+    assert search(200, 300, workers=2).pairs == search(200, 300, workers=1).pairs
+
+
+def test_search_rejects_worker_count_below_one():
+    for workers in (0, -3):
+        with pytest.raises(DatumError):
+            search(10, 10, workers=workers)
+
+
+def test_search_clamps_worker_count_to_cpus(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(landau, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(landau.os, "cpu_count", lambda: 2)
+    res = search(300, 30, workers=10 ** 6)
+    assert requested == [2]
+    assert res.pairs == search(300, 30, workers=1).pairs
 
 
 def test_search_overflow_guard():

@@ -1,0 +1,36 @@
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from cmtori.landau import search
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles_of_one_sample():
+    assert _load("oracle_cost")._quartiles([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25}
+
+
+def test_landau_cost_with_one_run(tmp_path):
+    out = tmp_path / "landau.json"
+    subprocess.run([sys.executable, str(SCRIPTS / "landau_cost.py"), "--runs", "1",
+                    "--a-max", "300", "--out", str(out)], check=True, capture_output=True)
+    (size,) = json.loads(out.read_text())["sizes"]
+    counts = size["counts"]
+    assert counts["pairs"] == search(300, 100).pair_count
+    assert counts["p_tests"] == counts["p_sieve_survivors"] <= counts["p_grid"] == 300
+    assert counts["q_grid"] == counts["primes_p"] * 50
+    assert counts["q_sieve_survivors"] == (counts["certified"] + counts["fermat_rejected"]
+                                           + counts["q_fallbacks"])
+    assert counts["certified"] + counts["q_fallbacks"] >= counts["pairs"]
+    assert counts["is_prime_calls"] == counts["p_tests"] + counts["q_fallbacks"]
+    assert size["search_s"]["q1"] == size["search_s"]["median"] == size["search_s"]["q3"]
