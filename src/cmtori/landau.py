@@ -283,9 +283,10 @@ def _scan_chunk(args):
     for lo in range(a_lo, a_hi, _BLOCK):
         primes = [(a, p) for a in _sieve_p(lo, min(lo + _BLOCK, a_hi))
                   if is_prime_u64(p := 1 + 4 * a * a)]
+        ps = [p for _, p in primes]
         for window in range((half + 63) // 64):
             every = (1 << min(64, half - 64 * window)) - 1
-            masks = _sieve_q([p for _, p in primes], window)
+            masks = _sieve_q(ps, window)
             for (a, p), mask in zip(primes, masks):
                 bits = every & ~mask
                 if window == 0:
