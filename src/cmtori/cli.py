@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import constructors, engine, formats
-from .cohomology import CohomologyBudget, ono_tamagawa, sha_group, verify_structure
+from .cohomology import CohomologyBudget, torus_invariants, verify_structure
 from .errors import CmtoriError, DatumError
-from .lattice import character_lattices
 from .landau import search
 
 
@@ -68,13 +68,8 @@ def _tau_datum(args):
     payload = {"report": formats.report_to_json(report)}
     if args.oracle:
         budget = CohomologyBudget(max_order_q2=args.max_order)
-        oracle_tau = ono_tamagawa(datum, budget)
-        lats = character_lattices(datum)
-        from .cohomology import cohomology
-
-        oracle_h1 = cohomology(lats.torus, 1, budget).group
-        oracle_sha = sha_group(lats.torus, 2,
-                               datum.effective_decomposition_set(), budget)
+        oracle_h1, oracle_sha = torus_invariants(datum, budget)
+        oracle_tau = Fraction(oracle_h1.order, oracle_sha.order)
         payload["oracle"] = {
             "tau": formats.fraction_to_json(oracle_tau),
             "h1_torus": list(oracle_h1.factors),

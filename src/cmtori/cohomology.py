@@ -17,17 +17,19 @@ maps act on explicit cochains, and ``class_of`` replays the recorded row
 operations on a cocycle to read its coordinates.
 
 This module is the verification oracle: nothing here uses the transfer
-formulas of the fast path.
+formulas of the fast path, except that ``verify_structure`` compares its
+results with the engine's.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
+from . import engine
 from .abelian import (
     AbElement,
     AbHom,
@@ -39,33 +41,30 @@ from .abelian import (
     identity,
     kernel_basis,
     kernel_of_hom,
+    smith_normal_form,
     solve_matrix,
     stack_homs,
-    zero_hom,
 )
-from .datum import NormTorusDatum
+from .datum import NormTorusDatum, TorusPair
 from .errors import BudgetExceededError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, is_normal
+from .groups import FiniteGroup, Subgroup, full_subgroup, is_normal
 from .lattice import (
     GLattice,
     character_lattices,
     restrict_lattice,
     trivial_lattice,
 )
-from .transfer import group_abelianization
+from .transfer import cyclic_relative_quotient, group_abelianization
 
 
 @dataclass(frozen=True)
 class CohomologyBudget:
-    """Configured size caps per cohomological degree (not constants)."""
+    """The group-order cap in degree 2; degrees 0, 1 and 3 have fixed caps."""
 
-    max_order_q1: int = 64
     max_order_q2: int = 16
-    max_order_q3: int = 12
 
     def check(self, order: int, rank: int, q: int):
-        cap = {0: 512, 1: self.max_order_q1, 2: self.max_order_q2,
-               3: self.max_order_q3}.get(q)
+        cap = {0: 512, 1: 64, 2: self.max_order_q2, 3: 12}.get(q)
         if cap is None:
             raise BudgetExceededError("degree not supported", degree=q)
         if order > cap:
@@ -291,12 +290,26 @@ def connecting_hom(sub_lattices, incl, proj, q: int,
 # oracle-side torus invariants
 # ---------------------------------------------------------------------------
 
-def ono_tamagawa(datum: NormTorusDatum,
-                 budget: CohomologyBudget = DEFAULT_BUDGET) -> Fraction:
-    """|H^1(torus lattice)| / |Sha^2(torus lattice)| over the datum's groups."""
+def _norm_one_rank(datum: NormTorusDatum) -> int:
+    """Rank of the norm-one lattice, sum of [G:H_i] - [G:N_i]; the torus has one more."""
+    return sum(pair.inner.index - pair.outer.index for pair in datum.pairs)
+
+
+def torus_invariants(datum: NormTorusDatum,
+                     budget: CohomologyBudget = DEFAULT_BUDGET) -> tuple[FinAb, FinAb]:
+    """(H^1, Sha^2) of the torus lattice over the datum's decomposition groups."""
+    # the degree-1 cap, checked before any lattice is built
+    budget.check(datum.group.order, _norm_one_rank(datum) + 1, 1)
     lats = character_lattices(datum)
     h1 = cohomology(lats.torus, 1, budget).group
     sha = sha_group(lats.torus, 2, datum.effective_decomposition_set(), budget)
+    return h1, sha
+
+
+def ono_tamagawa(datum: NormTorusDatum,
+                 budget: CohomologyBudget = DEFAULT_BUDGET) -> Fraction:
+    """|H^1(torus lattice)| / |Sha^2(torus lattice)| over the datum's groups."""
+    h1, sha = torus_invariants(datum, budget)
     return Fraction(h1.order, sha.order)
 
 
@@ -348,63 +361,53 @@ def _is_product_structured(datum: NormTorusDatum) -> bool:
 def _twisted_invariant_order(pair, inner_ab: FinAb) -> int:
     """Order of (H^2 of the inner subgroup with norm-one coefficients)^N.
 
-    The relative quotient acts on Hom(inner^ab, Q/Z)^(a) through the
+    The relative quotient N acts on Hom(inner^ab, Q/Z)^(a) through the
     coefficient matrices of the norm-one lattice (conjugation on the inner
-    subgroup is trivial in the product-structured case this serves).
+    subgroup is trivial in the product-structured case this serves), so the
+    invariants are the kernel of rho - 1 for rho the matrix of a generator.
     """
-    from .abelian import AbHom as _AbHom
-    from .abelian import hom_sum, kernel_of_hom as _ker
-    from .datum import TorusPair
-    from .groups import Subgroup as _Sub
-    from .transfer import cyclic_relative_quotient
-
+    a = pair.relative_degree - 1
+    if a == 0 or inner_ab.is_trivial:
+        return 1
     local, _ = pair.outer.as_group()
     single = NormTorusDatum(local, (TorusPair(
-        pair.outer.localize(pair.inner), _Sub(local, tuple(local.elements()))),))
-    block = character_lattices(single).norm_one
-    a_i = pair.relative_degree - 1
-    if a_i == 0 or inner_ab.is_trivial:
-        return 1
+        pair.outer.localize(pair.inner), full_subgroup(local)),))
+    rho = character_lattices(single).norm_one.action
     quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
-    gen = next(q for q in quot.group.elements()
-               if quot.group.element_order(q) == quot.group.order)
-    lift_local = quot.representatives[gen]
-    rho = block.action[lift_local].tolist()
-    dual_inner = FinAb(inner_ab.factors)
-    summed = direct_sum([dual_inner] * a_i)
-    total = zero_hom(summed.group, summed.group)
-    for k in range(a_i):
-        for j in range(a_i):
-            if rho[k][j] == 0:
-                continue
-            scal = _AbHom(dual_inner, dual_inner,
-                          tuple(tuple(rho[k][j] if r == c else 0
-                                      for c in range(dual_inner.rank))
-                                for r in range(dual_inner.rank)))
-            total = hom_sum(total, summed.injections[k].compose(
-                scal.compose(summed.projections[j])))
-    minus_id = _AbHom(summed.group, summed.group,
-                      tuple(tuple(-1 if r == c else 0
-                                  for c in range(summed.group.rank))
-                            for r in range(summed.group.rank)))
-    return _ker(hom_sum(total, minus_id)).group.order
+    lift = quot.representatives[quot.group.cyclic_generator()]
+    return _kernel_order(rho[lift] - np.eye(a, dtype=np.int64), inner_ab.factors)
 
 
-def _complement_of_involution(datum: NormTorusDatum):
-    """An index-2 subgroup avoiding iota, if the involution sequence splits."""
-    g = datum.group
-    ab = group_abelianization(g)
-    even = [j for j, d in enumerate(ab.group.factors) if d % 2 == 0]
-    img = ab.project(datum.iota)
-    for bits in iter_product((0, 1), repeat=len(even)):
-        if not any(bits):
-            continue
-        if sum(b * (img.coords[j] % 2) for b, j in zip(bits, even)) % 2 != 1:
-            continue
-        elems = tuple(x for x in g.elements()
-                      if sum(b * (ab.images[x][j] % 2)
-                             for b, j in zip(bits, even)) % 2 == 0)
-        return Subgroup(g, elems)
+def _kernel_order(matrix: np.ndarray, factors) -> int:
+    """Order of the kernel of a square integer matrix on (+)_d (Z/d)^a: the
+    product of gcd(s, d) over its elementary divisors s, with gcd(0, d) = d."""
+    divisors = smith_normal_form(matrix.tolist()).diagonal
+    return math.prod(math.gcd(s, d) for d in factors for s in divisors)
+
+
+def involution_complement(group: FiniteGroup, iota: int) -> Subgroup | None:
+    """The kernel of the first index-2 character with chi(iota) = 1, if the
+    involution sequence splits."""
+    ab = group_abelianization(group)
+    chi = next(ab.index_two_characters(iota), None)
+    if chi is None:
+        return None
+    return Subgroup(group, tuple(
+        x for x in group.elements()
+        if sum(c * v for c, v in zip(chi, ab.images[x])) % 2 == 0))
+
+
+def xi_complement(datum: NormTorusDatum) -> Subgroup | None:
+    """The complement of iota when the xi obstruction applies, else None: a
+    single Galois CM field (one pair, trivial inner subgroup) with |G|/2
+    even whose involution sequence splits by a complement of odd
+    abelianization."""
+    if (datum.is_cm and len(datum.pairs) == 1 and datum.pairs[0].inner.order == 1
+            and datum.group.order % 4 == 0):
+        complement = involution_complement(datum.group, datum.iota)
+        if (complement is not None
+                and group_abelianization(complement.as_group()[0]).group.order % 2):
+            return complement
     return None
 
 
@@ -412,22 +415,13 @@ def xi_obstruction(datum: NormTorusDatum,
                    budget: CohomologyBudget = DEFAULT_BUDGET):
     """The split-CM two-torsion obstruction class and its restrictions.
 
-    Applies when iota has a complement, |G|/2 is even, and the complement
-    has odd abelianization.  Returns (tau, details): tau = 1 exactly when
-    the unique nonzero class of H^2(torus)[2] dies on every decomposition
-    group, else tau = 2.
+    Applies when ``xi_complement`` finds a complement.  Returns
+    (tau, details): tau = 1 exactly when the unique nonzero class of
+    H^2(torus)[2] dies on every decomposition group, else tau = 2.
     """
-    if not datum.is_cm or len(datum.pairs) != 1 or datum.pairs[0].inner.order != 1:
-        raise InternalCheckError("xi obstruction needs a single Galois CM field")
-    complement = _complement_of_involution(datum)
-    if complement is None:
-        raise InternalCheckError("involution sequence does not split")
-    g_half = datum.group.order // 2
-    local, _ = complement.as_group()
-    gab_order = group_abelianization(local).group.order
-    if g_half % 2 != 0 or gab_order % 2 == 0:
-        raise InternalCheckError("xi hypotheses fail",
-                                 half_degree=g_half, complement_ab=gab_order)
+    if xi_complement(datum) is None:
+        raise InternalCheckError("xi hypotheses fail", group_order=datum.group.order,
+                                 pairs=len(datum.pairs), cm=datum.is_cm)
     lats = character_lattices(datum)
     coh2 = cohomology(lats.torus, 2, budget)
     even_positions = [j for j, d in enumerate(coh2.group.factors) if d % 2 == 0]
@@ -454,16 +448,13 @@ def xi_obstruction(datum: NormTorusDatum,
 def verify_structure(datum: NormTorusDatum,
                      budget: CohomologyBudget = DEFAULT_BUDGET) -> StructureReport:
     """Oracle-side consistency checks with pass/fail witnesses."""
-    from . import engine
-    from .transfer import relative_target
-
+    # the degree-1 cap, checked before any lattice is built
+    budget.check(datum.group.order, _norm_one_rank(datum), 1)
     lats = character_lattices(datum)
     decs = datum.effective_decomposition_set()
     checks = []
     h1_norm_one = cohomology(lats.norm_one, 1, budget).group
-    expected_h1n1 = 1
-    for pair in datum.pairs:
-        expected_h1n1 *= relative_target(pair.outer, pair.inner).group.order
+    expected_h1n1 = engine.h1_norm_one(datum).order
     checks.append(CheckResult(
         "h1_norm_one_order", True, h1_norm_one.order == expected_h1n1,
         f"oracle {h1_norm_one.order}, relative duals {expected_h1n1}"))
@@ -507,8 +498,6 @@ def verify_structure(datum: NormTorusDatum,
     product_structured = _is_product_structured(datum) and cyclic_path
     if product_structured and len(datum.pairs) > 1:
         h2n1 = cohomology(lats.norm_one, 2, budget).group
-        from math import gcd
-
         parts = []
         coprime = True
         quot_orders = []
@@ -522,7 +511,7 @@ def verify_structure(datum: NormTorusDatum,
             twisted_bound *= _twisted_invariant_order(pair, inner_ab)
         for i in range(len(quot_orders)):
             for j in range(i):
-                if gcd(quot_orders[i], quot_orders[j]) != 1:
+                if math.gcd(quot_orders[i], quot_orders[j]) != 1:
                     coprime = False
         # the degree-two group equals the twisted invariants exactly when the
         # transgression of each block vanishes; the measurement is reported,
@@ -544,17 +533,7 @@ def verify_structure(datum: NormTorusDatum,
         checks.append(CheckResult("d_probe_trivial_connecting", False, True, ""))
         checks.append(CheckResult("h2_norm_one_coprime_product", False, True, ""))
     tau_verdict = None
-    xi_applicable = False
-    # the unique-two-torsion obstruction is a statement about a single
-    # Galois CM field: one pair whose field is the splitting field itself
-    if (datum.is_cm and len(datum.pairs) == 1
-            and datum.pairs[0].inner.order == 1):
-        complement = _complement_of_involution(datum)
-        if complement is not None and (datum.group.order // 2) % 2 == 0:
-            local, _ = complement.as_group()
-            if group_abelianization(local).group.order % 2 == 1:
-                xi_applicable = True
-    if xi_applicable:
+    if xi_complement(datum) is not None:
         tau_verdict, details = xi_obstruction(datum, budget)
         checks.append(CheckResult(
             "xi_obstruction", True, True,

@@ -11,8 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohomology import involution_complement, xi_complement, xi_obstruction
 from .datum import NormTorusDatum, TorusPair
-from .engine import NK_ONE, density_bound, imaginary_quadratic_count, tamagawa
+from .engine import (
+    NK_ONE,
+    density_bound,
+    imaginary_quadratic_count,
+    product_tamagawa,
+    tamagawa,
+)
 from .errors import DatumError
 from .groups import (
     FiniteGroup,
@@ -25,8 +32,7 @@ from .groups import (
     trivial_subgroup,
     units_mod,
 )
-from .landau import factorize, is_prime_u64
-from .transfer import group_abelianization
+from .landau import factorize, is_prime_u64, squarefree_part  # squarefree_part: re-exported
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +48,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def squarefree_part(n: int) -> int:
-    part = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            part *= p
-    return part
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +149,11 @@ def q8_landau(p_value: int, q_value: int) -> FamilyResult:
     return FamilyResult(datum, predicted, notes)
 
 
+def certify_family(family):
+    """Product report for the quaternion data of a disjoint family of Landau pairs."""
+    return product_tamagawa([q8_landau(pair.p, pair.q).datum for pair in family])
+
+
 # ---------------------------------------------------------------------------
 # dihedral and abelian classifiers
 # ---------------------------------------------------------------------------
@@ -222,9 +225,7 @@ def split_classifier(group: FiniteGroup, iota: int) -> ClassifierResult:
     if group.element_order(iota) != 2 or iota not in center(group):
         raise DatumError("iota must be a central involution")
     datum = _cm_datum_for(group, iota)
-    from .cohomology import _complement_of_involution
-
-    complement = _complement_of_involution(datum)
+    complement = involution_complement(group, iota)
     if complement is None:
         raise DatumError("involution sequence does not split")
     engine_tau = tamagawa(datum).tau
@@ -232,13 +233,9 @@ def split_classifier(group: FiniteGroup, iota: int) -> ClassifierResult:
     if half % 2 == 1:
         return ClassifierResult(Fraction(1), (Fraction(1),), engine_tau,
                                 "odd half-degree")
-    local, _ = complement.as_group()
-    gab = group_abelianization(local).group.order
-    if gab % 2 == 0:
+    if xi_complement(datum) is None:
         return ClassifierResult(Fraction(2), (Fraction(2),), engine_tau,
                                 "complement has even abelianization")
-    from .cohomology import DEFAULT_BUDGET, xi_obstruction
-
-    tau, details = xi_obstruction(datum, DEFAULT_BUDGET)
+    tau, details = xi_obstruction(datum)
     return ClassifierResult(tau, (tau,), engine_tau,
                             f"two-torsion obstruction: {details}")

@@ -25,6 +25,7 @@ from .groups import (
     is_normal,
     subgroup_generated,
 )
+from .transfer import cyclic_relative_quotient
 
 
 @dataclass(frozen=True)
@@ -92,49 +93,34 @@ class NormTorusDatum:
             out *= pair.relative_degree
         return out
 
+    @lru_cache(maxsize=1024)
     def cyclic_relative_quotients(self) -> bool:
         """Each inner normal in its outer with cyclic quotient (fast-path flag)."""
-        return _cyclic_relative_quotients(self)
+        for pair in self.pairs:
+            local, _ = pair.outer.as_group()
+            if not is_normal(local, pair.outer.localize(pair.inner)):
+                return False
+            quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
+            if quot.group.cyclic_generator() is None:
+                return False
+        return True
 
+    @lru_cache(maxsize=1024)
     def normal_outer(self) -> bool:
-        return _normal_outer(self)
+        return all(is_normal(self.group, pair.outer) for pair in self.pairs)
 
+    @lru_cache(maxsize=1024)
     def effective_decomposition_set(self) -> tuple[Subgroup, ...]:
         """User groups, the cyclic floor when requested, the archimedean group
         generated by iota, all deduplicated up to conjugacy."""
-        return _effective_decomposition_set(self)
-
-
-@lru_cache(maxsize=1024)
-def _cyclic_relative_quotients(datum: NormTorusDatum) -> bool:
-    from .transfer import cyclic_relative_quotient
-
-    for pair in datum.pairs:
-        local, _ = pair.outer.as_group()
-        if not is_normal(local, pair.outer.localize(pair.inner)):
-            return False
-        quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
-        n = quot.group
-        if not any(n.element_order(x) == n.order for x in n.elements()):
-            return False
-    return True
-
-
-@lru_cache(maxsize=1024)
-def _normal_outer(datum: NormTorusDatum) -> bool:
-    return all(is_normal(datum.group, pair.outer) for pair in datum.pairs)
-
-
-@lru_cache(maxsize=1024)
-def _effective_decomposition_set(datum: NormTorusDatum) -> tuple[Subgroup, ...]:
-    groups = list(datum.decomposition_groups)
-    if datum.include_all_cyclic:
-        groups.extend(cyclic_subgroups_up_to_conjugacy(datum.group))
-    if datum.iota is not None:
-        groups.append(subgroup_generated(datum.group, [datum.iota]))
-    if not groups:
-        return ()
-    return tuple(dedupe_up_to_conjugacy(datum.group, groups))
+        groups = list(self.decomposition_groups)
+        if self.include_all_cyclic:
+            groups.extend(cyclic_subgroups_up_to_conjugacy(self.group))
+        if self.iota is not None:
+            groups.append(subgroup_generated(self.group, [self.iota]))
+        if not groups:
+            return ()
+        return tuple(dedupe_up_to_conjugacy(self.group, groups))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .groups import (
     ProductGroup,
     Subgroup,
     closure,
+    coset_index,
     cosets,
     direct_product,
     induced_abelian_hom,
@@ -118,10 +119,7 @@ def _double_coset_inner_twists(g: FiniteGroup, dec: Subgroup, pair: TorusPair):
     coincide.
     """
     outer_cosets = cosets(g, pair.outer, "left")
-    coset_of = {}
-    for idx, cs in enumerate(outer_cosets):
-        for x in cs:
-            coset_of[x] = idx
+    coset_of = coset_index(g, outer_cosets)
     seen = set()
     twists = []
     for idx, cs in enumerate(outer_cosets):
@@ -227,10 +225,7 @@ def _cm_type_parities(datum: NormTorusDatum, chooser=None):
     rows = []
     for pair in datum.pairs:
         inner_parts = cosets(g, pair.inner, "left")
-        coset_of = {}
-        for idx, cs in enumerate(inner_parts):
-            for x in cs:
-                coset_of[x] = idx
+        coset_of = coset_index(g, inner_parts)
         outer_parts = cosets(g, pair.outer, "left")
         chosen = set()
         for oc_index, oc in enumerate(outer_parts):
@@ -323,20 +318,7 @@ def imaginary_quadratic_count(group: FiniteGroup, iota: int):
     """
     if group.element_order(iota) != 2:
         raise DatumError("iota must have order 2")
-    ab = group_abelianization(group)
-    img = ab.project(iota)
-    even_positions = [j for j, d in enumerate(ab.group.factors) if d % 2 == 0]
-    count = 0
-    from itertools import product as iter_product
-
-    # a surjection onto Z/2 reduces some coordinates at even factors mod 2
-    for bits in iter_product((0, 1), repeat=len(even_positions)):
-        if not any(bits):
-            continue
-        value = sum(bit * (img.coords[j] % 2)
-                    for bit, j in zip(bits, even_positions)) % 2
-        if value == 1:
-            count += 1
+    count = sum(1 for _ in group_abelianization(group).index_two_characters(iota))
     if count >= 2:
         return count, NK_ONE
     if count == 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -166,6 +167,11 @@ class FiniteGroup:
     def exponent(self) -> int:
         return math.lcm(*(self.element_order(g) for g in self.elements()))
 
+    def cyclic_generator(self) -> int | None:
+        """The least element generating the group, or None if it is not cyclic."""
+        return next((g for g in self.elements() if self.element_order(g) == self.order),
+                    None)
+
     def __repr__(self):
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
@@ -304,7 +310,8 @@ def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
 
 
 def _perm_from_cycles(cycles, degree):
-    img = list(range(degree))
+    """The image of each point the cycles name, as a dict."""
+    img = {}
     for cyc in cycles:
         for x in cyc:
             if not (isinstance(x, int) and 0 <= x < degree):
@@ -313,28 +320,38 @@ def _perm_from_cycles(cycles, degree):
             continue
         for i, x in enumerate(cyc):
             img[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(img)
+    return img
 
 
 def from_permutation_generators(generators, degree: int, name: str = "") -> FiniteGroup:
-    """Close permutation generators (image arrays or lists of cycles) to a group."""
-    perms = []
+    """Close permutation generators (image arrays or lists of cycles) to a group.
+
+    Elements are ordered by their image arrays.  A point no generator moves
+    is fixed by the whole group, so the closure runs on the moved points
+    alone, relabelled in increasing order: that keeps the order of the
+    elements and the table, and allocates nothing of size ``degree``.
+    """
+    maps = []
     for gen in generators:
         if gen and isinstance(gen[0], (list, tuple)):
-            perms.append(_perm_from_cycles(gen, degree))
+            maps.append(_perm_from_cycles(gen, degree))
         else:
             img = tuple(int(x) for x in gen)
-            if sorted(img) != list(range(degree)):
+            if len(img) != degree or sorted(img) != list(range(degree)):
                 raise ConstructionError("generator is not a permutation", generator=list(gen))
-            perms.append(img)
-    ident = tuple(range(degree))
+            maps.append({x: y for x, y in enumerate(img) if x != y})
+    support = sorted(set().union(*maps))
+    label = {x: i for i, x in enumerate(support)}
+    perms = [tuple(label[m.get(x, x)] for x in support) for m in maps]
+    points = range(len(support))
+    ident = tuple(points)
     elems = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
             for q in perms:
-                r = tuple(p[q[i]] for i in range(degree))
+                r = tuple(p[q[i]] for i in points)
                 if r not in elems:
                     if len(elems) >= MAX_ORDER:
                         raise ConstructionError("closure exceeds the hard cap", cap=MAX_ORDER)
@@ -344,7 +361,7 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
     ordered = sorted(elems)
     index = {p: i for i, p in enumerate(ordered)}
     table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(degree))] for q in ordered)
+        tuple(index[tuple(p[q[i]] for i in points)] for q in ordered)
         for p in ordered)
     return from_table(table, name or f"perm_deg{degree}")
 
@@ -509,6 +526,15 @@ def cosets(group: FiniteGroup, s: Subgroup, side: str = "left"):
     return sorted(out)
 
 
+def coset_index(group: FiniteGroup, parts) -> list[int]:
+    """Position in ``parts`` (a partition of the group) of each element's part."""
+    index = [0] * group.order
+    for i, cs in enumerate(parts):
+        for g in cs:
+            index[g] = i
+    return index
+
+
 def conjugacy_classes(group: FiniteGroup):
     seen = set()
     classes = []
@@ -598,10 +624,7 @@ def quotient_group(group: FiniteGroup, n: Subgroup) -> QuotientGroup:
     if not is_normal(group, n):
         raise ConstructionError("quotient by a non-normal subgroup")
     parts = cosets(group, n, "left")
-    proj = [0] * group.order
-    for i, cs in enumerate(parts):
-        for g in cs:
-            proj[g] = i
+    proj = coset_index(group, parts)
     reps = tuple(cs[0] for cs in parts)
     table = np.array(proj)[np.array([group.table[r] for r in reps])[:, reps]]
     return QuotientGroup(from_table(table), tuple(proj), reps)
@@ -622,6 +645,15 @@ class Abelianization:
 
     def project(self, g: int) -> AbElement:
         return self.group.element(self.images[g])
+
+    def index_two_characters(self, g: int):
+        """Yield each surjection chi: G -> Z/2 with chi(g) = 1, in lexicographic
+        order of its coefficients c on the invariant factors, where
+        chi(x) = sum_j c_j x_j mod 2 and only even factors carry c_j = 1."""
+        choices = [(0, 1) if d % 2 == 0 else (0,) for d in self.group.factors]
+        for coeffs in iter_product(*choices):
+            if sum(c * x for c, x in zip(coeffs, self.images[g])) % 2:
+                yield coeffs
 
 
 def commutator_subgroup(group: FiniteGroup) -> Subgroup:

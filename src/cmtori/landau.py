@@ -39,6 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,10 +121,7 @@ def is_landau_pair(p: int, q: int) -> bool:
 
 def p_from_q(q: int) -> int:
     """The p of a Landau pair is the squarefree part of q - 1."""
-    from .constructors import squarefree_part
-
     return squarefree_part(q - 1)
-
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -160,6 +158,14 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def squarefree_part(n: int) -> int:
+    part = 1
+    for p, e in factorize(n).items():
+        if e % 2:
+            part *= p
+    return part
+
+
 def _brent_rho_split(n: int):
     """One nontrivial factorization n = a * b of an odd composite."""
     if n % 2 == 0:
@@ -178,16 +184,14 @@ def _brent_rho_split(n: int):
             return [d, n // d]
         c += 1
 
-@dataclass(frozen=True)
-class LandauPair:
+
+class LandauPair(NamedTuple):
+    """One row of the search, p = 1 + 4a^2 and q = 1 + p b^2."""
+
     a: int
     p: int
     b: int
     q: int
-
-    def __post_init__(self):
-        if self.p != 1 + 4 * self.a * self.a or self.q != 1 + self.p * self.b * self.b:
-            raise DatumError("pair fields are inconsistent")
 
 
 @dataclass(frozen=True)
@@ -339,7 +343,7 @@ def search(a_max: int, b_max: int, workers: int = 1) -> SearchResult:
                 for part in pool.map(_scan_chunk, tasks):
                     rows.extend(part)
     rows.sort(key=lambda r: (r[1], r[3]))
-    pairs = tuple(LandauPair(*r) for r in rows)
+    pairs = tuple(map(LandauPair._make, rows))
     distinct = len({r[1] for r in rows})
     elapsed = int((time.monotonic() - start) * 1000)
     return SearchResult(pairs, len(pairs), distinct, a_max, b_max, elapsed)
@@ -362,12 +366,3 @@ def disjoint_family(pairs, r: int):
         raise DatumError("not enough disjoint pairs available",
                          requested=r, achievable=len(chosen))
     return tuple(chosen)
-
-
-def certify_family(family):
-    """Product report for the quaternion data of a disjoint family."""
-    from .constructors import q8_landau
-    from .engine import product_tamagawa
-
-    data = [q8_landau(pair.p, pair.q).datum for pair in family]
-    return product_tamagawa(data)

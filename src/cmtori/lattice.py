@@ -34,7 +34,7 @@ import numpy as np
 from .abelian import kernel_basis, smith_normal_form, solve_matrix
 from .datum import NormTorusDatum
 from .errors import InternalCheckError
-from .groups import FiniteGroup, Subgroup, _greedy_generators, cosets
+from .groups import FiniteGroup, Subgroup, _greedy_generators, coset_index, cosets
 
 __all__ = [
     "GLattice", "LatticeMap", "TorusLattices", "permutation_lattice",
@@ -111,20 +111,13 @@ def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
                     np.broadcast_to(np.eye(rank, dtype=np.int64), (group.order, rank, rank)))
 
 
-def _coset_index(group: FiniteGroup, parts) -> np.ndarray:
-    """Position in ``parts`` of the coset of each group element."""
-    index = np.empty(group.order, dtype=np.int64)
-    for i, cs in enumerate(parts):
-        index[list(cs)] = i
-    return index
-
-
 def _permutation_action(group: FiniteGroup, sub: Subgroup):
     """(action array of G on the left cosets of ``sub``, the cosets)."""
     parts = cosets(group, sub, "left")
     n = len(parts)
     # g sends the coset of rep_j to the coset of g rep_j
-    images = _coset_index(group, parts)[np.array(group.table)[:, [cs[0] for cs in parts]]]
+    coset_of = np.array(coset_index(group, parts))
+    images = coset_of[np.array(group.table)[:, [cs[0] for cs in parts]]]
     action = np.zeros((group.order, n, n), dtype=np.int64)
     action[np.arange(group.order)[:, None], images, np.arange(n)] = 1
     return action, parts
@@ -213,9 +206,9 @@ def character_lattices(datum: NormTorusDatum) -> TorusLattices:
         amb_blocks.append(amb)
         base_blocks.append(bse)
         # coset summation: an outer coset is the sum of the inner cosets it holds
+        outer_of = coset_index(g, bse_parts)
         block = np.zeros((len(amb_parts), len(bse_parts)), dtype=np.int64)
-        block[np.arange(len(amb_parts)),
-              _coset_index(g, bse_parts)[[cs[0] for cs in amb_parts]]] = 1
+        block[np.arange(len(amb_parts)), [outer_of[cs[0]] for cs in amb_parts]] = 1
         norm_blocks.append(block)
     ambient_action, base_action = _block_diag(amb_blocks), _block_diag(base_blocks)
     ambient = GLattice(g, ambient_action.shape[-1], ambient_action)

@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     abelianization,
+    coset_index,
     cosets,
     is_normal,
     quotient_group,
@@ -38,19 +39,9 @@ def subgroup_abelianization(sub: Subgroup):
     return abelianization(local), embed
 
 
-def _coset_assignment(group: FiniteGroup, sub: Subgroup, side: str):
-    """coset id per element, following the sorted coset order."""
-    parts = cosets(group, sub, side)
-    coset_of = [0] * group.order
-    for i, cs in enumerate(parts):
-        for g in cs:
-            coset_of[g] = i
-    return parts, coset_of
-
-
 def canonical_section(group: FiniteGroup, sub: Subgroup, side: str = "left"):
-    parts, coset_of = _coset_assignment(group, sub, side)
-    return tuple(cs[0] for cs in parts), coset_of
+    parts = cosets(group, sub, side)
+    return tuple(cs[0] for cs in parts), coset_index(group, parts)
 
 
 def _transfer_element(group, g, reps, coset_of, into_sub):
@@ -73,7 +64,8 @@ def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
     Exposed for the section-independence property; ``transfer`` fixes the
     canonical least-element section.
     """
-    parts, coset_of = _coset_assignment(group, sub, "left")
+    parts = cosets(group, sub, "left")
+    coset_of = coset_index(group, parts)
     reps = tuple(reps)
     if len(reps) != len(parts):
         raise ConstructionError("section has wrong size")
@@ -103,8 +95,7 @@ def transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
 
 def right_transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
     """Right-coset variant; agrees with ``transfer`` on every input."""
-    parts, coset_of = _coset_assignment(group, sub, "right")
-    reps = tuple(cs[0] for cs in parts)
+    reps, coset_of = canonical_section(group, sub, "right")
     sub_ab, _ = subgroup_abelianization(sub)
     local_index = sub.local_index()
     g_ab = group_abelianization(group)
@@ -216,11 +207,7 @@ def transfer_cyclic_double_coset(group: FiniteGroup, outer: Subgroup,
     quot, embed, local_index = cyclic_relative_quotient(outer, inner)
     n_group = quot.group
     n = n_group.order
-    gen = None
-    for q in n_group.elements():
-        if n_group.element_order(q) == n:
-            gen = q
-            break
+    gen = n_group.cyclic_generator()
     if gen is None:
         raise ConstructionError("outer/inner quotient is not cyclic", order=n)
     # discrete logs with respect to the generator

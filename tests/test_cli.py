@@ -166,6 +166,27 @@ def test_budget_exit_code(tmp_path):
     assert code == 5
 
 
+def test_degree_one_budget_checked_before_lattices(tmp_path, monkeypatch):
+    # |G| = 128 is over the degree-1 cap of 64: both commands exit 5 with
+    # the payload of the first degree-1 cohomology call, building no lattice
+    from cmtori import cohomology
+
+    def no_lattices(datum):
+        raise AssertionError("character_lattices called")
+
+    monkeypatch.setattr(cohomology, "character_lattices", no_lattices)
+    path = tmp_path / "c128.json"
+    path.write_text(json.dumps(formats.datum_to_json(cyclic_cm(128))))
+    for args, rank in ((["oracle", "verify", str(path)], 64),
+                       (["tau", "datum", "--oracle", str(path)], 65)):
+        code, out = run_cli(args)
+        assert code == 5
+        assert json.loads(out) == {"error": {
+            "code": 5, "message": "cohomology budget exceeded",
+            "context": {"cap": 64, "cochain_dim": rank * 127, "degree": 1,
+                        "group_order": 128, "rank": rank}}}
+
+
 def test_overflow_exit_code():
     code, out = run_cli(["landau", "search", "--a-max", "1000000000",
                          "--b-max", "100"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -8,6 +9,7 @@ from corpus import (
     cm_corpus,
     cyclic_cm,
     empty_pairs_datum,
+    fuzz_data,
     imag_quadratic,
     noncm_coprime_product,
     q8_cm,
@@ -32,6 +34,7 @@ from cmtori.engine import (
 from cmtori.errors import DatumError, FastPathUnavailableError
 from cmtori.groups import (
     Subgroup,
+    _greedy_generators,
     center,
     conjugate_subgroup,
     cyclic,
@@ -197,6 +200,40 @@ def test_imaginary_quadratic_count():
     q8 = quaternion8()
     count, verdict = imaginary_quadratic_count(q8, 1)
     assert count == 0 and verdict == NK_UNKNOWN
+
+
+def _brute_force_iq_count(g, iota):
+    """Homomorphisms G -> Z/2 with chi(iota) = 1, each fixed by its values on
+    the greedy generators and checked on the whole table."""
+    gens = _greedy_generators(g.table, g.identity, g.elements())
+    count = 0
+    for bits in iter_product((0, 1), repeat=len(gens)):
+        chi = {g.identity: 0}
+        frontier = [g.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, bit in zip(gens, bits):
+                    y = g.table[x][s]
+                    if y not in chi:
+                        chi[y] = (chi[x] + bit) % 2
+                        nxt.append(y)
+            frontier = nxt
+        if chi[iota] == 1 and all(chi[g.table[x][y]] == (chi[x] + chi[y]) % 2
+                                  for x in g.elements() for y in g.elements()):
+            count += 1
+    return count
+
+
+def test_imaginary_quadratic_count_matches_brute_force():
+    counts = set()
+    for datum in [d for _, d, _ in cm_corpus()] + fuzz_data():
+        if datum.iota is None:
+            continue
+        count, _ = imaginary_quadratic_count(datum.group, datum.iota)
+        assert count == _brute_force_iq_count(datum.group, datum.iota)
+        counts.add(count)
+    assert {0, 1, 2} <= counts
 
 
 def test_product_tamagawa_single_factor():

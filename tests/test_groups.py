@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cmtori.groups import (
     commutator_subgroup,
     conjugacy_classes,
     construct_group,
+    coset_index,
     cosets,
     cyclic,
     cyclic_subgroups_up_to_conjugacy,
@@ -527,3 +529,44 @@ def test_ragged_table_rejected():
     with pytest.raises(ConstructionError) as exc:
         from_table([[0, 1, 2], [1, 2, 0]])
     assert exc.value.context == {"shape": [2, 3]}
+
+
+def test_permutation_degree_allocates_only_moved_points():
+    # points no generator moves are fixed by the group, so a large degree
+    # costs nothing: at degree 10^5 the closure used to hold 22.5 MB
+    gens = [[[0, 1, 2]], [[1, 2, 3]]]
+    small = from_permutation_generators(gens, 4)
+    tracemalloc.start()
+    try:
+        big = from_permutation_generators(gens, 10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert big.table == small.table
+    assert big.name == "perm_deg100000"
+    assert peak < 1_000_000
+    # image arrays: a fixed tail changes nothing, a short array is rejected
+    arrays = from_permutation_generators([[1, 2, 0, 3, 4], [0, 2, 1, 3, 4]], 5)
+    assert arrays.table == from_permutation_generators([[[0, 1, 2]], [[1, 2]]], 3).table
+    with pytest.raises(ConstructionError):
+        from_permutation_generators([[1, 0]], 10 ** 5)
+    with pytest.raises(ConstructionError):
+        from_permutation_generators([[[0, 10 ** 5]]], 10 ** 5)
+
+
+def test_cyclic_generator_is_least():
+    assert cyclic(6).cyclic_generator() == 1
+    assert units_mod(9).cyclic_generator() == 1  # residue 2 generates (Z/9)^*
+    assert cyclic(1).cyclic_generator() == 0
+    assert direct_product(cyclic(2), cyclic(2)).group.cyclic_generator() is None
+    assert Q8.cyclic_generator() is None
+
+
+def test_coset_index():
+    g = dihedral(4)
+    sub = subgroup_generated(g, [4])
+    for side in ("left", "right"):
+        parts = cosets(g, sub, side)
+        index = coset_index(g, parts)
+        assert [index[x] for cs in parts for x in cs] == [
+            i for i, cs in enumerate(parts) for _ in cs]

@@ -230,7 +230,7 @@ def test_disjoint_family():
 def test_certify_family_tau():
     from fractions import Fraction
 
-    from cmtori.landau import certify_family
+    from cmtori.constructors import certify_family
 
     res = search(5, 10)
     fam = disjoint_family(res.pairs, 2)

@@ -1,16 +1,35 @@
 from fractions import Fraction
+from itertools import product as iter_product
 
+import numpy as np
 import pytest
 
-from corpus import cm_corpus, noncm_coprime_product, q8_cm, z4xz2_product, z4xz4_product
+from corpus import (
+    cm_corpus,
+    fuzz_data,
+    noncm_coprime_product,
+    q8_cm,
+    z4xz2_product,
+    z4xz4_product,
+)
+from cmtori.abelian import AbHom, direct_sum, hom_sum, kernel_of_hom
 from cmtori.cohomology import (
     CohomologyBudget,
+    _is_product_structured,
+    _kernel_order,
+    _twisted_invariant_order,
     cohomology,
+    involution_complement,
     verify_structure,
+    xi_complement,
     xi_obstruction,
 )
+from cmtori.datum import NormTorusDatum, TorusPair
+from cmtori.engine import imaginary_quadratic_count
 from cmtori.errors import InternalCheckError
+from cmtori.groups import Subgroup, full_subgroup
 from cmtori.lattice import character_lattices
+from cmtori.transfer import cyclic_relative_quotient, group_abelianization
 
 
 def check_map(report):
@@ -92,3 +111,100 @@ def test_xi_obstruction_on_split_a4_case():
     checks = check_map(report)
     assert checks["xi_obstruction"].applicable
     assert report.tau_verdict == tau
+
+
+def _all_data():
+    return [d for _, d, _ in cm_corpus()] + fuzz_data()
+
+
+def _reference_twisted_order(pair, inner_ab):
+    """The twisted-invariant order by composing scalar homs through the
+    direct sum (inner^ab)^a: the kernel of sum_kj rho_kj inj_k proj_j - 1."""
+    a = pair.relative_degree - 1
+    if a == 0 or inner_ab.is_trivial:
+        return 1
+    local, _ = pair.outer.as_group()
+    single = NormTorusDatum(local, (TorusPair(
+        pair.outer.localize(pair.inner), full_subgroup(local)),))
+    block = character_lattices(single).norm_one
+    quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
+    n = quot.group
+    gen = next(q for q in n.elements() if n.element_order(q) == n.order)
+    rho = block.action[quot.representatives[gen]].tolist()
+
+    def scalar(group, c):
+        return AbHom(group, group, tuple(tuple(c if r == k else 0 for k in range(group.rank))
+                                         for r in range(group.rank)))
+
+    summed = direct_sum([inner_ab] * a)
+    total = scalar(summed.group, -1)
+    for k in range(a):
+        for j in range(a):
+            if rho[k][j]:
+                total = hom_sum(total, summed.injections[k].compose(
+                    scalar(inner_ab, rho[k][j]).compose(summed.projections[j])))
+    return kernel_of_hom(total).group.order
+
+
+def test_twisted_invariant_order_matches_hom_composition():
+    nontrivial = 0
+    for datum in _all_data():
+        if not (_is_product_structured(datum) and datum.cyclic_relative_quotients()
+                and datum.normal_outer()):
+            continue
+        for pair in datum.pairs:
+            inner_ab = group_abelianization(pair.inner.as_group()[0]).group
+            order = _twisted_invariant_order(pair, inner_ab)
+            assert order == _reference_twisted_order(pair, inner_ab)
+            nontrivial += order > 1
+    assert nontrivial >= 2
+
+
+def test_kernel_order_counts_zero_divisors():
+    # brute force over (Z/d)^a; singular matrices have zero elementary divisors
+    for rows in ([[2, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]], [[2, 4], [6, 3]]):
+        matrix = np.array(rows, dtype=np.int64)
+        for factors in ((2,), (4, 6), (3, 9)):
+            expected = 1
+            for d in factors:
+                expected *= sum(1 for v in iter_product(range(d), repeat=2)
+                                if not np.any(matrix @ np.array(v) % d))
+            assert _kernel_order(matrix, factors) == expected, (rows, factors)
+
+
+def _reference_complement(group, iota):
+    """The first index-2 subgroup avoiding iota, enumerating characters of
+    G^ab by bits on its even invariant factors in lexicographic order."""
+    ab = group_abelianization(group)
+    even = [j for j, d in enumerate(ab.group.factors) if d % 2 == 0]
+    img = ab.project(iota)
+    for bits in iter_product((0, 1), repeat=len(even)):
+        if sum(b * (img.coords[j] % 2) for b, j in zip(bits, even)) % 2 != 1:
+            continue
+        return Subgroup(group, tuple(
+            x for x in group.elements()
+            if sum(b * (ab.images[x][j] % 2) for b, j in zip(bits, even)) % 2 == 0))
+    return None
+
+
+def test_involution_complement_is_the_first_splitting():
+    several = 0
+    for datum in _all_data():
+        if datum.iota is None:
+            continue
+        complement = involution_complement(datum.group, datum.iota)
+        assert complement == _reference_complement(datum.group, datum.iota)
+        if complement is not None:
+            assert complement.index == 2 and datum.iota not in complement
+        several += imaginary_quadratic_count(datum.group, datum.iota)[0] > 1
+    assert several >= 1
+
+
+def test_xi_complement_gates_both_callers():
+    for datum in _all_data():
+        applies = xi_complement(datum) is not None
+        assert check_map(verify_structure(datum))["xi_obstruction"].applicable == applies
+        if not applies:
+            with pytest.raises(InternalCheckError) as info:
+                xi_obstruction(datum)
+            assert info.value.payload()["error"]["context"]["group_order"] == datum.group.order
