@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import constructors, engine, formats
 from .cohomology import CohomologyBudget, torus_invariants, verify_structure
@@ -149,7 +150,9 @@ def _landau_search(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cmtori",
         description="Tamagawa numbers of CM and norm-type tori from "
@@ -168,7 +171,7 @@ def build_parser():
     p = tau_sub.add_parser("datum", help="engine run on a datum file")
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the bar-resolution oracle")
+                   help="cross-check against the presentation-resolution oracle")
     p.add_argument("--max-order", type=int, default=16)
     p.set_defaults(func=_tau_datum)
     p = tau_sub.add_parser("product", help="multiplicativity pipeline")
@@ -179,7 +182,7 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=_classify)
 
-    oracle = sub.add_parser("oracle", help="bar-resolution oracle")
+    oracle = sub.add_parser("oracle", help="presentation-resolution oracle")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
     p = oracle_sub.add_parser("verify", help="structure verification report")
     p.add_argument("file")
@@ -198,8 +201,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CmtoriError as exc:

@@ -1,20 +1,27 @@
-"""Brute-force group cohomology on the normalized bar resolution.
+"""Group cohomology on the resolution of a Schreier presentation.
 
-Cochains in degree q are functions on q-tuples of non-identity elements
-(normalized cochains vanish when any argument is the identity, which
-shrinks every dimension by a factor (|G|/(|G|-1))^q).  One vectorized
-coboundary operator applies d_q to cochains; applied to the identity it
-gives the matrix of d_q.
+Each group G gets one presentation from its Cayley table (``presentation``):
+S is the greedy generators of ``groups._greedy_generators``, a
+breadth-first tree of right multiplications by S gives each element g a
+tree word w_g, and each of the |G|(|S| - 1) + 1 non-tree edges (g, s) of
+the Cayley graph gives the relator w_g s w_(gs)^(-1) (Schreier).  Its
+resolution begins ZG^R -> ZG^S -> ZG -> Z (Fox 1953; Brown, *Cohomology of
+Groups*, II.5), so cochains of degree 0, 1, 2 are M, M^S, M^R, and
 
-For q >= 1, H^q is finite and ker d_q is saturated in C^q, so H^q is the
-torsion of coker d_(q-1) (Brown, Cohomology of Groups, ch. III): its
-invariant factors are the non-unit elementary divisors of d_(q-1), and
-all of them divide |G|.  H^q is therefore computed from d_(q-1) alone by
-a p-local elimination for each prime p | |G| (``abelian.cokernel_torsion``);
-d_q is never built.  Every class keeps an integer representative cocycle,
-checked against d_q by one application of the operator, so restriction
-maps act on explicit cochains, and ``class_of`` replays the recorded row
-operations on a cocycle to read its coordinates.
+    d_0 m = (s m - m)_s,        d_1 f (g, s) = F(g) + g f(s) - F(gs),
+
+with F the tree integral of f: F(e) = 0, F(hs) = F(h) + h f(s) on tree
+edges.  Building d_1 checks d_1 d_0 = 0.
+
+For q >= 1, H^q is finite and ker d_q is saturated, so H^q is the torsion
+of coker d_(q-1), whose invariant factors all divide |G|; one p-local
+elimination per prime p | |G| finds it (``abelian.cokernel_torsion``).
+That needs exactness at F_q only, so no degree-3 term is ever built and
+degree 3 is not supported.  The exact divisibility of a representative
+d_(q-1) v / p^a, checked in ``abelian._local_form``, makes it a cocycle;
+``class_of`` replays the recorded row operations on a cocycle to read its
+coordinates.  Restriction to a subgroup goes through the chain map
+"letter -> G-tree word" (``restrict_cochain``).
 
 This module is the verification oracle: nothing here uses the transfer
 formulas of the fast path, except that ``verify_structure`` compares its
@@ -26,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,32 +47,32 @@ from .abelian import (
     cokernel_torsion,
     direct_sum,
     identity,
-    kernel_basis,
     kernel_of_hom,
     smith_normal_form,
     solve_matrix,
     stack_homs,
 )
-from .datum import NormTorusDatum, TorusPair
+from .datum import NormTorusDatum
 from .errors import BudgetExceededError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, full_subgroup, is_normal
+from .groups import FiniteGroup, Subgroup, _greedy_generators, is_normal
 from .lattice import (
     GLattice,
     character_lattices,
     restrict_lattice,
     trivial_lattice,
 )
-from .transfer import cyclic_relative_quotient, group_abelianization
+from .transfer import group_abelianization
 
 
 @dataclass(frozen=True)
 class CohomologyBudget:
-    """The group-order cap in degree 2; degrees 0, 1 and 3 have fixed caps."""
+    """The group-order cap in degree 2; degrees 0 and 1 have fixed caps.  The
+    error's ``cochain_dim`` is the normalized-bar size rank * (|G| - 1)^q."""
 
     max_order_q2: int = 16
 
     def check(self, order: int, rank: int, q: int):
-        cap = {0: 512, 1: 64, 2: self.max_order_q2, 3: 12}.get(q)
+        cap = {0: 512, 1: 64, 2: self.max_order_q2}.get(q)
         if cap is None:
             raise BudgetExceededError("degree not supported", degree=q)
         if order > cap:
@@ -78,57 +86,79 @@ DEFAULT_BUDGET = CohomologyBudget()
 
 
 # ---------------------------------------------------------------------------
-# normalized bar complex
+# the resolution of the Schreier presentation
 # ---------------------------------------------------------------------------
 
-def _nonid(group: FiniteGroup):
-    return tuple(g for g in group.elements() if g != group.identity)
+class Presentation(NamedTuple):
+    """The Schreier presentation of a group (see the module docstring)."""
+
+    generators: tuple[int, ...]     # S
+    right: np.ndarray               # right[g, i] = g s_i
+    order: tuple[int, ...]          # the elements, breadth first from e
+    parent: np.ndarray              # tree edge (parent[g], letter[g]) into g,
+    letter: np.ndarray              # parent[g] s_letter[g] = g; -1 at e
+    relators: np.ndarray            # the non-tree edges (g, i), row-major
+    relator_of: np.ndarray          # index of edge (g, i) among them, -1 on the tree
 
 
 @lru_cache(maxsize=256)
-def _bar_tables(group: FiniteGroup):
-    """(non-identity elements, position of every element, products of positions).
+def presentation(group: FiniteGroup) -> Presentation:
+    """The Schreier presentation of a group's Cayley table, cached per group."""
+    gens = _greedy_generators(group.table, group.identity, group.elements())
+    n, e = group.order, group.identity
+    right = np.array([[row[s] for s in gens] for row in group.table],
+                     dtype=np.int64).reshape(n, len(gens))
+    parent = np.full(n, -1, dtype=np.int64)
+    letter = np.full(n, -1, dtype=np.int64)
+    order = [e]
+    for h in order:                 # the list grows as it is walked
+        for i, c in enumerate(right[h].tolist()):
+            if c != e and parent[c] < 0:
+                parent[c], letter[c] = h, i
+                order.append(c)
+    non_tree = np.ones((n, len(gens)), dtype=bool)
+    non_tree[parent[order[1:]], letter[order[1:]]] = False
+    relators = np.argwhere(non_tree)
+    relator_of = np.full((n, len(gens)), -1, dtype=np.int64)
+    relator_of[non_tree] = np.arange(len(relators))
+    for array in (right, parent, letter, relators, relator_of):
+        array.flags.writeable = False   # shared through the cache
+    return Presentation(tuple(gens), right, tuple(order), parent, letter, relators,
+                        relator_of)
 
-    The identity's position is m = |G| - 1, one past the last, so
-    ``products[a, b] == m`` marks a product that is the identity.
+
+def _tree_integral(lattice: GLattice) -> np.ndarray:
+    """The (|G|, |S|, rank, rank) array T with F(g) = sum_i T[g, i] f(s_i)."""
+    pres = presentation(lattice.group)
+    r = lattice.rank
+    out = np.zeros((lattice.group.order, len(pres.generators), r, r), dtype=np.int64)
+    for c in pres.order[1:]:
+        h = pres.parent[c]
+        out[c] = out[h]
+        out[c, pres.letter[c]] += lattice.action[h]
+    return out
+
+
+def coboundary_matrix(lattice: GLattice, q: int) -> np.ndarray:
+    """The matrix of d_0 : M -> M^S (q = 0) or of d_1 : M^S -> M^R (q = 1).
+
+    Coordinate a of a cochain's value at generator or relator k sits at
+    index k * rank + a.
     """
-    nonid = _nonid(group)
-    m = len(nonid)
-    pos = np.full(group.order, m, dtype=np.int64)
-    pos[list(nonid)] = np.arange(m)
-    table = np.array([group.table[x] for x in nonid], dtype=np.int64).reshape(m, group.order)
-    products = pos[table[:, list(nonid)]]
-    pos.flags.writeable = products.flags.writeable = False   # shared through the cache
-    return nonid, pos, products
-
-
-def coboundary(lattice: GLattice, q: int, cochains) -> np.ndarray:
-    """d_q : C^q -> C^{q+1} applied to a cochain vector or to each matrix column.
-
-    Coordinate i of a q-cochain at (g_1, ..., g_q) sits at index
-    (pos(g_1) ... pos(g_q) read in base m) * rank + i, m = |G| - 1, and
-
-        (df)(g_0..g_q) = g_0 f(g_1..g_q) + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..)
-                         + (-1)^(q+1) f(g_0..g_(q-1)),
-
-    where a term with an identity argument vanishes.  Applied to the
-    identity matrix this is the matrix of d_q.
-    """
-    x = np.asarray(cochains, dtype=np.int64)
-    nonid, _, products = _bar_tables(lattice.group)
-    m = len(nonid)
-    rank = lattice.rank
-    k = x.shape[1] if x.ndim == 2 else 1
-    f = x.reshape(m ** q, rank, k)
-    out = np.matmul(lattice.action[list(nonid)].reshape(m, 1, rank, rank), f[None])
-    for i in range(q):
-        inner = f.reshape(m ** i, m, m ** (q - 1 - i), rank, k)
-        padded = np.concatenate(
-            [inner, np.zeros((m ** i, 1) + inner.shape[2:], dtype=np.int64)], axis=1)
-        out.reshape(m ** i, m, m, m ** (q - 1 - i), rank, k)[...] += (
-            (-1) ** (i + 1) * padded[:, products])
-    out.reshape(m ** q, m, rank, k)[...] += (-1) ** (q + 1) * f[:, None]
-    return out.reshape((-1,) + x.shape[1:])
+    pres = presentation(lattice.group)
+    r, s = lattice.rank, len(pres.generators)
+    d0 = (lattice.action[list(pres.generators)] - np.eye(r, dtype=np.int64)).reshape(s * r, r)
+    if q == 0:
+        return d0
+    tree = _tree_integral(lattice)
+    g, i = pres.relators.T
+    d1 = tree[g] - tree[pres.right[g, i]]
+    d1[np.arange(len(g)), i] += lattice.action[g]
+    d1 = d1.transpose(0, 2, 1, 3).reshape(len(g) * r, s * r)
+    if np.any(d1 @ d0):
+        raise InternalCheckError("d_1 d_0 is not zero", group_order=lattice.group.order,
+                                 rank=r)
+    return d1
 
 
 @dataclass
@@ -159,20 +189,13 @@ class Cohomology:
 
 
 def _invariants_rank(lattice: GLattice) -> int:
-    rank = lattice.rank
-    if rank == 0:
-        return 0
-    nonid = list(_nonid(lattice.group))
-    if not nonid:
-        return rank
-    rows = (lattice.action[nonid] - np.eye(rank, dtype=np.int64)).reshape(-1, rank)
-    basis = kernel_basis(rows.tolist(), rank)
-    return len(basis[0]) if basis and basis[0] else 0
+    d0 = coboundary_matrix(lattice, 0)
+    return lattice.rank - (smith_normal_form(d0.tolist()).rank if d0.size else 0)
 
 
 def cohomology(lattice: GLattice, q: int,
                budget: CohomologyBudget = DEFAULT_BUDGET) -> Cohomology:
-    """H^q(G, M) on normalized cochains, cached per (lattice, q, budget)."""
+    """H^q(G, M) for q = 0, 1, 2, cached per (lattice, q, budget)."""
     return _cohomology(lattice, q, budget)
 
 
@@ -182,36 +205,56 @@ def _cohomology(lattice: GLattice, q: int, budget: CohomologyBudget) -> Cohomolo
     budget.check(group.order, lattice.rank, q)
     if q == 0:
         return Cohomology(lattice, 0, FinAb(()), _invariants_rank(lattice))
-    rank = lattice.rank
-    m = group.order - 1
-    dim = rank * m ** q
-    if dim == 0:
-        return Cohomology(lattice, q, FinAb(()), 0, _dim=0)
     # H^q is finite and ker d_q is saturated, so H^q = torsion of coker d_(q-1)
-    prev_dim = rank * m ** (q - 1)
-    torsion = cokernel_torsion(
-        coboundary(lattice, q - 1, np.eye(prev_dim, dtype=np.int64)), group.order)
-    if torsion.generators:
-        reps = np.stack(torsion.generators, axis=1)
-        if np.any(coboundary(lattice, q, reps)):
-            raise InternalCheckError("representative is not a cocycle", degree=q)
-    return Cohomology(lattice, q, torsion.group, 0, _dim=dim, _torsion=torsion)
+    d = coboundary_matrix(lattice, q - 1)
+    torsion = cokernel_torsion(d, group.order)
+    return Cohomology(lattice, q, torsion.group, 0, _dim=d.shape[0], _torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
 # restriction, Sha, connecting map
 # ---------------------------------------------------------------------------
 
-def restrict_cochain(parent: GLattice, sub: Subgroup, q: int, vec) -> np.ndarray:
-    """Restrict a G-cochain to tuples from a subgroup."""
-    _, pos_g, _ = _bar_tables(parent.group)
-    mg = parent.group.order - 1
+@lru_cache(maxsize=256)
+def _relator_counts(sub: Subgroup) -> np.ndarray:
+    """The degree-2 chain map: row (x, d) counts the passes, forward minus
+    backward, through each relator of G along D's relator (x, d) with every
+    letter replaced by its G-tree word."""
+    pres = presentation(sub.group)
     local, embed = sub.as_group()
-    parent_pos = pos_g[[embed[x] for x in _nonid(local)]]
-    index = np.zeros(1, dtype=np.int64)
-    for _ in range(q):
-        index = (index[:, None] * mg + parent_pos).ravel()
-    return np.asarray(vec, dtype=np.int64).reshape(mg ** q, parent.rank)[index].ravel()
+    sub_pres = presentation(local)
+    nr = len(pres.relators)
+    # passes[i, x]: the relators met along the G-tree word of t_i from x
+    passes = np.zeros((len(sub_pres.generators), local.order, nr + 1), dtype=np.int64)
+    for i, t in enumerate(sub_pres.generators):
+        y = embed[t]
+        while y != sub.group.identity:      # the tree edges into y's ancestors
+            h, y = y, pres.parent[y]
+            met = pres.relator_of[[sub.group.table[x][y] for x in embed], pres.letter[h]]
+            np.add.at(passes[i], (np.arange(local.order), met), 1)   # a tree edge: -1
+    passes = passes[:, :, :nr]
+    # walked[x]: the relators met along the substituted D-tree word of x
+    walked = np.zeros((local.order, nr), dtype=np.int64)
+    for c in sub_pres.order[1:]:
+        h = sub_pres.parent[c]
+        walked[c] = walked[h] + passes[sub_pres.letter[c], h]
+    x, i = sub_pres.relators.T
+    counts = walked[x] + passes[i, x] - walked[sub_pres.right[x, i]]
+    counts.flags.writeable = False   # shared through the cache
+    return counts
+
+
+def restrict_cochain(parent: GLattice, sub: Subgroup, q: int, vec) -> np.ndarray:
+    """Restrict a G-cochain to the subgroup D's own presentation, by the
+    chain map sending each generator d of D to its G-tree word: f_D(d) =
+    F(d) in degree 1, and z_D(x, d) = sum_r c_r z(r) in degree 2, c from
+    ``_relator_counts`` (no action enters)."""
+    x = np.asarray(vec, dtype=np.int64).reshape(-1, parent.rank)
+    if q == 1:
+        local, embed = sub.as_group()
+        tree = _tree_integral(parent)[[embed[t] for t in presentation(local).generators]]
+        return np.einsum("tiab,ib->ta", tree, x).ravel()
+    return (_relator_counts(sub) @ x).ravel()
 
 
 def restriction_hom(lattice: GLattice, q: int, sub: Subgroup,
@@ -267,16 +310,18 @@ def connecting_hom(sub_lattices, incl, proj, q: int,
 
     ``sub_lattices`` = (A, B, C); incl and proj are the int64 matrices of
     A -> B and B -> C.  The sequence must be Z-split exact (true for
-    lattices).
+    lattices).  A class of C is lifted by the section, d_q of B is applied
+    and the result is retracted to A.
     """
     a_lat, b_lat, c_lat = sub_lattices
     coh_c = cohomology(c_lat, q, budget)
     coh_a = cohomology(a_lat, q + 1, budget)
     section, li = _section_and_retraction(incl, proj)
+    d = coboundary_matrix(b_lat, q)
     cols = []
     for j in range(coh_c.group.rank):
         lifted = coh_c.representative(j).reshape(-1, c_lat.rank) @ section.T
-        dw = coboundary(b_lat, q, lifted.ravel()).reshape(-1, b_lat.rank)
+        dw = (d @ lifted.ravel()).reshape(-1, b_lat.rank)
         out = dw @ li.T
         # the coboundary of the lift must come from A
         if not np.array_equal(out @ incl.T, dw):
@@ -361,28 +406,14 @@ def _is_product_structured(datum: NormTorusDatum) -> bool:
 def _twisted_invariant_order(pair, inner_ab: FinAb) -> int:
     """Order of (H^2 of the inner subgroup with norm-one coefficients)^N.
 
-    The relative quotient N acts on Hom(inner^ab, Q/Z)^(a) through the
-    coefficient matrices of the norm-one lattice (conjugation on the inner
-    subgroup is trivial in the product-structured case this serves), so the
-    invariants are the kernel of rho - 1 for rho the matrix of a generator.
+    The relative quotient N/H, cyclic of order n, acts on Hom(inner^ab,
+    Q/Z)^(n-1) through the norm-one lattice Z[x]/(1 + x + ... + x^(n-1))
+    (conjugation on the inner subgroup is trivial in the product-structured
+    case this serves), a generator by x.  The cokernel of x - 1 there is
+    Z/n, so x - 1 has elementary divisors 1, ..., 1, n, and its kernel on
+    (+)_d (Z/d)^(n-1) has order prod_d gcd(n, d).
     """
-    a = pair.relative_degree - 1
-    if a == 0 or inner_ab.is_trivial:
-        return 1
-    local, _ = pair.outer.as_group()
-    single = NormTorusDatum(local, (TorusPair(
-        pair.outer.localize(pair.inner), full_subgroup(local)),))
-    rho = character_lattices(single).norm_one.action
-    quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
-    lift = quot.representatives[quot.group.cyclic_generator()]
-    return _kernel_order(rho[lift] - np.eye(a, dtype=np.int64), inner_ab.factors)
-
-
-def _kernel_order(matrix: np.ndarray, factors) -> int:
-    """Order of the kernel of a square integer matrix on (+)_d (Z/d)^a: the
-    product of gcd(s, d) over its elementary divisors s, with gcd(0, d) = d."""
-    divisors = smith_normal_form(matrix.tolist()).diagonal
-    return math.prod(math.gcd(s, d) for d in factors for s in divisors)
+    return math.prod(math.gcd(pair.relative_degree, d) for d in inner_ab.factors)
 
 
 def involution_complement(group: FiniteGroup, iota: int) -> Subgroup | None:
@@ -429,15 +460,9 @@ def xi_obstruction(datum: NormTorusDatum,
         raise InternalCheckError("two-torsion of H^2(torus) is not of order 2",
                                  factors=list(coh2.group.factors))
     j = even_positions[0]
-    half = coh2.group.factors[j] // 2
-    rep = half * coh2.representative(j)
-    restrictions = []
-    for dec in datum.effective_decomposition_set():
-        sub_lat = restrict_lattice(lats.torus, dec)
-        sub_coh = cohomology(sub_lat, 2, budget)
-        restricted = restrict_cochain(lats.torus, dec, 2, rep)
-        cls = sub_coh.class_of(restricted)
-        restrictions.append((dec, cls.is_zero))
+    xi = coh2.group.element([d // 2 if k == j else 0 for k, d in enumerate(coh2.group.factors)])
+    restrictions = [(dec, restriction_hom(lats.torus, 2, dec, budget)[0](xi).is_zero)
+                    for dec in datum.effective_decomposition_set()]
     all_die = all(flag for _, flag in restrictions)
     tau = Fraction(1) if all_die else Fraction(2)
     details = ", ".join(

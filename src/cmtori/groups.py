@@ -309,13 +309,18 @@ def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
     return ProductGroup(from_table(table, label), orders)
 
 
-def _perm_from_cycles(cycles, degree):
-    """The image of each point the cycles name, as a dict."""
+def _perm_from_cycles(cycles, degree, generator):
+    """The image of each point the cycles of a generator name, as a dict."""
     img = {}
+    named = set()
     for cyc in cycles:
         for x in cyc:
             if not (isinstance(x, int) and 0 <= x < degree):
                 raise ConstructionError("cycle entry out of range", entry=x, degree=degree)
+            if x in named:
+                raise ConstructionError("cycles of a generator are not disjoint",
+                                        generator=generator, point=x)
+            named.add(x)
         if len(cyc) < 2:
             continue
         for i, x in enumerate(cyc):
@@ -332,9 +337,9 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
     elements and the table, and allocates nothing of size ``degree``.
     """
     maps = []
-    for gen in generators:
+    for i, gen in enumerate(generators):
         if gen and isinstance(gen[0], (list, tuple)):
-            maps.append(_perm_from_cycles(gen, degree))
+            maps.append(_perm_from_cycles(gen, degree, i))
         else:
             img = tuple(int(x) for x in gen)
             if len(img) != degree or sorted(img) != list(range(degree)):

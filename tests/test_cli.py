@@ -138,6 +138,14 @@ def test_cycle_entry_out_of_range_exit_code(tmp_path):
     assert error["context"] == {"entry": 3, "degree": 3}
 
 
+def test_overlapping_cycles_exit_code(tmp_path):
+    error = _datum_error(tmp_path, {
+        "group": {"permutation_generators": [[[0, 1]], [[0, 1], [0, 2]]], "degree": 3},
+        "pairs": []}, ("tau", "datum"))
+    assert error["message"] == "cycles of a generator are not disjoint"
+    assert error["context"] == {"generator": 1, "point": 0}
+
+
 def test_ntilde_element_out_of_range_exit_code(tmp_path):
     error = _datum_error(tmp_path, {"group": {"family": "cyclic", "n": 4},
                                     "pairs": [{"H": [0], "Ntilde": [0, 2, 4]}]})
@@ -283,3 +291,29 @@ def test_console_script_entrypoint():
                            "cyclotomic", "5"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["tau"] == {"num": 1, "den": 1}
+
+
+def test_parser_built_once_with_unchanged_output(capsys, monkeypatch):
+    """One process runs a valid command, a usage error, --help and another
+    valid command; each prints what it prints in a process of its own."""
+    from cmtori.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [["tau", "cyclotomic", "12"], ["tau", "cyclotomic", "x"], ["--help"],
+                ["tau", "q8", "5", "21"]]
+    together = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        together.append((code, out, err))
+    assert build_parser() is build_parser()
+    separate = []
+    for argv in sequence:
+        proc = subprocess.run([sys.executable, "-m", "cmtori.cli", *argv],
+                              capture_output=True, text=True)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in together] == [0, 2, 0, 0]
+    assert together == separate

@@ -234,6 +234,18 @@ def test_from_permutation_generators_cycles():
     assert a4.order == 12
 
 
+def test_overlapping_cycles_rejected():
+    for gens, context in (([[[0, 1], [0, 2]]], {"generator": 0, "point": 0}),
+                          ([[[0, 1]], [[1, 2, 1]]], {"generator": 1, "point": 1}),
+                          ([[[2]], [[0, 1], [2, 1]]], {"generator": 1, "point": 1})):
+        with pytest.raises(ConstructionError) as exc:
+            from_permutation_generators(gens, 3)
+        assert str(exc.value) == "cycles of a generator are not disjoint"
+        assert exc.value.context == context
+    # a fixed point written as a 1-cycle next to disjoint cycles is fine
+    assert from_permutation_generators([[[0, 1], [2]]], 3).order == 2
+
+
 def test_construct_group_dispatch():
     assert construct_group({"family": "cyclic", "n": 4}).order == 4
     assert construct_group({"family": "quaternion8"}).order == 8

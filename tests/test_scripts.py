@@ -34,3 +34,12 @@ def test_landau_cost_with_one_run(tmp_path):
     assert counts["certified"] + counts["q_fallbacks"] >= counts["pairs"]
     assert counts["is_prime_calls"] == counts["p_tests"] + counts["q_fallbacks"]
     assert size["search_s"]["q1"] == size["search_s"]["median"] == size["search_s"]["q3"]
+
+
+def test_oracle_cost_child_reports_both_d1_shapes():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "oracle_cost.py"), "--child",
+                           "(Z/2)^4 Ono norm-one"], check=True, capture_output=True, text=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["d1_shape"] == [735, 60]
+    assert out["bar_d1_shape"] == [3375, 225]
+    assert out["h2"] == [2] * 6

@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import product as iter_product
 
-import numpy as np
 import pytest
 
 from corpus import (
@@ -16,7 +15,6 @@ from cmtori.abelian import AbHom, direct_sum, hom_sum, kernel_of_hom
 from cmtori.cohomology import (
     CohomologyBudget,
     _is_product_structured,
-    _kernel_order,
     _twisted_invariant_order,
     cohomology,
     involution_complement,
@@ -158,18 +156,6 @@ def test_twisted_invariant_order_matches_hom_composition():
             assert order == _reference_twisted_order(pair, inner_ab)
             nontrivial += order > 1
     assert nontrivial >= 2
-
-
-def test_kernel_order_counts_zero_divisors():
-    # brute force over (Z/d)^a; singular matrices have zero elementary divisors
-    for rows in ([[2, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]], [[2, 4], [6, 3]]):
-        matrix = np.array(rows, dtype=np.int64)
-        for factors in ((2,), (4, 6), (3, 9)):
-            expected = 1
-            for d in factors:
-                expected *= sum(1 for v in iter_product(range(d), repeat=2)
-                                if not np.any(matrix @ np.array(v) % d))
-            assert _kernel_order(matrix, factors) == expected, (rows, factors)
 
 
 def _reference_complement(group, iota):
