@@ -5,11 +5,14 @@ interpreter runs ``cmtori.landau.search`` on one worker twice: once as
 is (``search_s``), and once with the stages of the scan wrapped by
 timers and counters (``traced_search_s``).  The stages are
 
-- ``p_sieve``: the residue sieve on p = 1 + 4a^2 (``_sieve_p``);
-- ``p_test``: ``is_prime_u64`` on the p that survive it;
+- ``p_sieve``: the complete residue sieve on p = 1 + 4a^2 (``_sieve_p``,
+  which finds the roots of 4a^2 + 1 modulo the sieving primes on first
+  use); its survivors are the prime p, so ``p_tests`` (``is_prime_u64``
+  calls on p) stays 0;
 - ``q_sieve``: the table sieve on q = 1 + p b^2 (``_sieve_q``, which
   builds the tables on first use);
-- ``certificate``: the Fermat and Pocklington tests (``_certify``);
+- ``certificate``: the batched Fermat and Pocklington tests
+  (``_certify_batch``);
 - ``q_fallback``: ``is_prime_u64`` on a q the certificate does not
   decide, or may not decide (q below the sieve bound, or p <= b^2).
 
@@ -37,60 +40,58 @@ from oracle_cost import _cpu_model, _quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
 B_MAX = 100
-STAGES = ("p_sieve", "p_test", "q_sieve", "certificate", "q_fallback")
+STAGES = ("p_sieve", "q_sieve", "certificate", "q_fallback")
 
 
 def _traced_search(landau, a_max):
     """The search with its stages timed; (seconds, stage seconds, counts).
 
-    ``_scan_chunk`` calls ``_sieve_p`` before the p-tests of a block and
-    ``_sieve_q`` before its q-tests, so the last of the two entered tells
+    ``_scan_chunk`` calls ``_sieve_p`` once per block and ``_sieve_q``
+    before the q-tests of a window, so the last of the two entered tells
     which stage an ``is_prime_u64`` call belongs to."""
     seconds = dict.fromkeys(STAGES, 0.0)
     counts = {"p_sieve_survivors": 0, "p_tests": 0, "primes_p": 0,
               "q_sieve_survivors": 0, "certified": 0, "fermat_rejected": 0,
               "undecided": 0, "q_fallbacks": 0}
-    stage = ["p_test"]
+    stage = ["p_sieve"]
     originals = {name: getattr(landau, name)
-                 for name in ("_sieve_p", "_sieve_q", "_certify", "is_prime_u64")}
+                 for name in ("_sieve_p", "_sieve_q", "_certify_batch", "is_prime_u64")}
 
-    def sieve_p(lo, hi):
+    def sieve_p(lo, hi, bound):
         start = time.perf_counter()
-        out = originals["_sieve_p"](lo, hi)
+        out = originals["_sieve_p"](lo, hi, bound)
         seconds["p_sieve"] += time.perf_counter() - start
         counts["p_sieve_survivors"] += len(out)
-        stage[0] = "p_test"
+        stage[0] = "p_sieve"
         return out
 
-    def sieve_q(ps, window):
+    def sieve_q(p, window, width):
         start = time.perf_counter()
-        out = originals["_sieve_q"](ps, window)
+        out = originals["_sieve_q"](p, window, width)
         seconds["q_sieve"] += time.perf_counter() - start
         stage[0] = "q_fallback"
         return out
 
     def certify(q, p, b2):
         start = time.perf_counter()
-        out = originals["_certify"](q, p, b2)
+        out = originals["_certify_batch"](q, p, b2)
         seconds["certificate"] += time.perf_counter() - start
-        counts[{True: "certified", False: "fermat_rejected", None: "undecided"}[out]] += 1
+        counts["certified"] += int((out == 1).sum())
+        counts["fermat_rejected"] += int((out == 0).sum())
+        counts["undecided"] += int((out < 0).sum())
         return out
 
     def is_prime(n):
         start = time.perf_counter()
         out = originals["is_prime_u64"](n)
         seconds[stage[0]] += time.perf_counter() - start
-        if stage[0] == "p_test":
-            counts["p_tests"] += 1
-            counts["primes_p"] += out
-        else:
-            counts["q_fallbacks"] += 1
+        counts["p_tests" if stage[0] == "p_sieve" else "q_fallbacks"] += 1
         return out
 
-    landau._sieve_primes.cache_clear()  # cold tables, as in the plain run
-    landau._q_table.cache_clear()
+    for cached in (landau._sieve_primes, landau._q_table, landau._p_roots):
+        cached.cache_clear()  # cold tables and roots, as in the plain run
     for name, wrapper in (("_sieve_p", sieve_p), ("_sieve_q", sieve_q),
-                          ("_certify", certify), ("is_prime_u64", is_prime)):
+                          ("_certify_batch", certify), ("is_prime_u64", is_prime)):
         setattr(landau, name, wrapper)
     try:
         start = time.perf_counter()
@@ -99,7 +100,9 @@ def _traced_search(landau, a_max):
     finally:
         for name, original in originals.items():
             setattr(landau, name, original)
-    # a q reaches the proof stage through _certify or straight to is_prime_u64
+    # every sieve survivor is prime; a q reaches the proof stage through
+    # _certify_batch or straight to is_prime_u64
+    counts["primes_p"] = counts["p_sieve_survivors"]
     counts["q_sieve_survivors"] = (counts["certified"] + counts["fermat_rejected"]
                                    + counts["q_fallbacks"])
     counts["pairs"] = result.pair_count

@@ -8,6 +8,7 @@ emitted as canonical JSON on standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -132,19 +133,26 @@ def _oracle_verify(args):
 
 
 def _landau_search(args):
-    result = search(args.a_max, args.b_max, workers=args.threads)
-    payload = {
-        "pair_count": result.pair_count,
-        "distinct_p_count": result.distinct_p_count,
-        "a_max": result.a_max,
-        "b_max": result.b_max,
-        "elapsed_ms": result.elapsed_ms,
-    }
-    if args.out:
-        with open(args.out, "w") as handle:
-            for pair in result.pairs:
-                handle.write(f"{pair.a},{pair.p},{pair.b},{pair.q}\n")
-        payload["out"] = args.out
+    try:
+        # opened before the search, in append mode so that a failed search
+        # leaves an existing file as it was
+        out = open(args.out, "a") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise DatumError(f"cannot write output file: {exc}", path=args.out)
+    with out as handle:
+        result = search(args.a_max, args.b_max, workers=args.threads)
+        payload = {
+            "pair_count": result.pair_count,
+            "distinct_p_count": result.distinct_p_count,
+            "a_max": result.a_max,
+            "b_max": result.b_max,
+            "elapsed_ms": result.elapsed_ms,
+        }
+        if handle:
+            handle.truncate(0)
+            handle.writelines(f"{pair.a},{pair.p},{pair.b},{pair.q}\n"
+                              for pair in result.pairs)
+            payload["out"] = args.out
     formats.validate_against("landau.schema.json", payload)
     _emit(payload)
     return 0

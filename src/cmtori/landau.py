@@ -5,30 +5,45 @@ q = 1 + p b^2; the search enumerates p = 1 + 4a^2 (only even squares can
 give an odd p) and then probes q over the even b (odd b give even q).
 Two pairs are disjoint exactly when their p differ, because p is
 recovered from q as the squarefree part of q - 1.  The module also holds
-the 64-bit factorization built on the same Miller-Rabin test.
+a deterministic 64-bit Miller-Rabin test and the factorization built on
+it.
 
-The search sieves before it tests.  It walks a in blocks of ``_BLOCK``
-values, sieving by the odd primes l below ``_SIEVE_BOUND``.
+The search sieves before it tests, with no Python loop per candidate.
+It walks a in blocks of ``_BLOCK`` values.
 
-- p-stage: a numpy residue sieve strikes every a with l | 1 + 4a^2; only
-  l = 1 (mod 4) can divide, since -1 = (2a)^2 is then a square mod l.
-  The survivors go to ``is_prime_u64``.
-- q-stage sieve: one table per l, indexed by p mod l, whose bit i is set
-  when l | 1 + p b^2 for the i-th even b of a window of 64.  The OR of
-  the tables over all l marks the b whose q certainly has a factor l.
-- A p or q below ``_SIEVE_BOUND`` may be a sieving prime itself, so it
-  bypasses the sieve and goes to ``is_prime_u64``.
-- q-stage proof: a surviving q with p > b^2 is decided by Pocklington's
-  criterion (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), for
-  the bases c = 2, 3, 5, 7 in turn.  If c^(q-1) != 1 (mod q), q is
-  composite (Fermat).  If c^(q-1) = 1 and gcd(c^(b^2) - 1, q) = 1, then q
-  is prime.  Proof: let r be a prime factor of q.  The order of c mod r
+- p-stage: a complete numpy residue sieve.  An odd prime l divides
+  p = 1 + 4a^2 exactly when l = 1 (mod 4) and a = +-i/2 (mod l), where
+  i^2 = -1 (mod l): -1 = (2a)^2 must be a square mod l.  Each block is
+  struck by every such l up to isqrt(1 + 4 (a_hi - 1)^2) of its chunk,
+  by slices for l below the block length and by one fancy-indexed
+  strike for the larger l, which hit a block at most once per root.  A p
+  that is itself such an l (p = 5, 17, 37, ...) is re-admitted.  Proof
+  that a survivor p is prime: a composite p has a prime factor
+  l <= sqrt(p) <= the bound, l != p, so some root of l strikes it; and
+  a prime p is struck only by l = p, which re-admits it.  The roots are
+  computed once per bound, as c^((l-1)/4) for the least non-residue c.
+- q-stage sieve: one table per odd prime l below ``_SIEVE_BOUND``,
+  indexed by p mod l, whose bit i is set when l | 1 + p b^2 for the
+  i-th even b of a window of 64.  The OR of the tables over all l marks
+  the b whose q certainly has a factor l; ``np.unpackbits`` turns the
+  rest into (p, b) candidate arrays.  A q below ``_SIEVE_BOUND`` may be a
+  sieving prime itself, so it bypasses the sieve.
+- q-stage proof: a surviving q with p > b^2 and q >= ``_SIEVE_BOUND`` is
+  decided by Pocklington's criterion (Brillhart, Lehmer and Selfridge,
+  Math. Comp. 29, 1975), for the bases c = 2, 3, 5, 7 in turn, on the
+  whole window at once.  If c^(q-1) != 1 (mod q), q is composite
+  (Fermat).  If c^(q-1) = 1 and gcd(c^(b^2) - 1, q) = 1, then q is
+  prime.  Proof: let r be a prime factor of q.  The order of c mod r
   divides q - 1 = p b^2 but not b^2, and p is prime, so p divides the
   order, which divides r - 1: every prime factor r of q has
   r = 1 (mod p), so r > p.  And p > b^2 gives p^2 > p b^2 = q - 1, so
   p >= sqrt(q).  Hence every prime factor of q exceeds sqrt(q), and q is
-  prime.  A q that no base decides, and every q with p <= b^2, goes to
-  ``is_prime_u64``.
+  prime.  A q that no base decides, and every q with p <= b^2 or
+  q < ``_SIEVE_BOUND``, goes to ``is_prime_u64``.
+- Arithmetic: the powers mod q are Montgomery products (Math. Comp. 44,
+  1985) in uint64, with the high word of each 64 x 64 -> 128-bit product
+  built from 32-bit limbs.  This is exact for every odd modulus below
+  2^63, which ``search`` guarantees for q.
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
 U64_LIMIT = 1 << 64
 _SIGNED_LIMIT = 1 << 63
 
-# the odd primes below this bound sieve p and q (see the module docstring)
+# the odd primes below this bound sieve q (see the module docstring)
 _SIEVE_BOUND = 1024
 # values of a per block, so a block's numpy arrays stay a few tens of KiB
 _BLOCK = 4096
@@ -210,17 +225,22 @@ class SearchResult:
                 f"b_max={self.b_max}, elapsed_ms={self.elapsed_ms})")
 
 
+def _primes_upto(n):
+    """The primes up to n, by Eratosthenes' sieve."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for k in range(2, math.isqrt(n) + 1):
+        if prime[k]:
+            prime[k * k::k] = False
+    return np.flatnonzero(prime)
+
+
 @lru_cache(maxsize=1)
 def _sieve_primes():
-    """The odd primes l below ``_SIEVE_BOUND``, the first row of each l in
-    a q table, and the pairs (l, r) with l | 1 + 4a^2 exactly when one of
-    the r for l has a = r (mod l)."""
-    ells = [n for n in range(3, _SIEVE_BOUND, 2)
-            if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
-    offsets = np.cumsum([0] + ells[:-1]).tolist()
-    p_roots = [(ell, r) for ell in ells if ell % 4 == 1
-               for r in np.flatnonzero((4 * np.arange(ell) ** 2 + 1) % ell == 0).tolist()]
-    return ells, offsets, p_roots
+    """The odd primes l below ``_SIEVE_BOUND`` and the first row of each l
+    in a q table."""
+    ells = _primes_upto(_SIEVE_BOUND - 1)[1:].tolist()
+    return ells, np.cumsum([0] + ells[:-1]).tolist()
 
 
 # a table takes 8 bytes a row over the sum of the sieving primes (626 KiB
@@ -228,7 +248,7 @@ def _sieve_primes():
 @lru_cache(maxsize=4)
 def _q_table(window):
     """Row offset(l) + (p mod l), bit i: l | 1 + p b^2 for b = 128 window + 2i + 2."""
-    ells, offsets, _ = _sieve_primes()
+    ells, offsets = _sieve_primes()
     rows, bits = [], []
     for ell, offset in zip(ells, offsets):
         for i in range(64):
@@ -243,39 +263,137 @@ def _q_table(window):
     return table
 
 
-def _sieve_p(lo, hi):
-    """The a in [lo, hi) for which no sieving prime l < p divides p = 1 + 4a^2."""
-    _, _, p_roots = _sieve_primes()
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhi(x, y):
+    """The high words of the 128-bit products x y of uint64 arrays, from
+    32-bit limbs (every partial sum fits in 64 bits)."""
+    x0, x1 = x & _LOW32, x >> _SHIFT32
+    y0, y1 = y & _LOW32, y >> _SHIFT32
+    mid = x1 * y0 + (x0 * y0 >> _SHIFT32)
+    low = x0 * y1 + (mid & _LOW32)
+    return x1 * y1 + (mid >> _SHIFT32) + (low >> _SHIFT32)
+
+
+def _montgomery(m):
+    """(-1/m mod 2^64 and 2^64 mod m) for an array of odd m < 2^63:
+    the constants of ``_mont_mul``, and 1 in Montgomery form."""
+    inv = m.copy()  # m m = 1 (mod 8); each Newton step doubles the bits
+    for _ in range(5):
+        inv *= np.uint64(2) - m * inv
+    return np.uint64(0) - inv, (np.uint64(0) - m) % m
+
+
+def _mont_mul(x, y, m, neg_inv):
+    """x y / 2^64 mod m for x, y < m, elementwise (Montgomery's reduction,
+    Math. Comp. 44, 1985): for k = (x y mod 2^64) neg_inv the low words
+    of x y and k m sum to 0 or 2^64, so (x y + k m) / 2^64 is the sum of
+    the high words plus that carry, and it is below 2m."""
+    low = x * y
+    t = _mulhi(x, y) + _mulhi(low * neg_inv, m) + (low != 0)
+    return t - m * (t >= m)
+
+
+def _mont_pow(x, e, m, neg_inv, one):
+    """x^e in Montgomery form for x in Montgomery form and exponents e,
+    elementwise, left to right over the bits of the largest e."""
+    out = one
+    for k in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        out = _mont_mul(out, out, m, neg_inv)
+        bit = (e >> np.uint64(k) & np.uint64(1)).astype(bool)
+        out = np.where(bit, _mont_mul(out, x, m, neg_inv), out)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _p_roots(bound):
+    """The primes l = 1 (mod 4) up to ``bound``, once for each root r of
+    4 r^2 + 1 = 0 (mod l), with those roots; the index of the first
+    l >= ``_BLOCK``; and the a with 1 + 4a^2 a prime up to ``bound``."""
+    ells = _primes_upto(bound)
+    ells = ells[ells % 4 == 1]
+    half = np.zeros(len(ells), dtype=np.uint64)
+    todo = np.arange(len(ells))
+    m = ells.astype(np.uint64)
+    neg_inv, one = _montgomery(m)
+    c = one
+    while len(todo):
+        # i = c^((l-1)/4) has i^2 = -1 (mod l) exactly when c is a non-residue
+        c = c + one
+        c -= m * (c >= m)
+        i = _mont_pow(c, m >> np.uint64(2), m, neg_inv, one)
+        hit = _mont_mul(i, i, m, neg_inv) == m - one
+        # i (l + 1)/2 / 2^64 = i/2 (mod l), out of Montgomery form
+        half[todo[hit]] = _mont_mul(i[hit], (m[hit] + np.uint64(1)) >> np.uint64(1),
+                                    m[hit], neg_inv[hit])
+        todo, m, neg_inv, one, c = (v[~hit] for v in (todo, m, neg_inv, one, c))
+    half = half.astype(np.int64)
+    ells, roots = np.repeat(ells, 2), np.stack([half, ells - half], axis=1).ravel()
+    # the a = r whose p is l itself; r < l < 2^31, so a wrapped 4r^2 + 1 never equals l
+    self_prime = roots[4 * roots * roots + 1 == ells]
+    for array in (ells, roots, self_prime):
+        array.flags.writeable = False  # shared through the cache
+    return ells, roots, np.searchsorted(ells, _BLOCK), self_prime
+
+
+def _sieve_p(lo, hi, bound):
+    """The a in [lo, hi) with p = 1 + 4a^2 prime, for hi - lo <= ``_BLOCK``
+    and a ``bound`` of at least isqrt(1 + 4 (hi - 1)^2): the a that no
+    prime l <= bound strikes, and those whose p is itself such an l."""
+    ells, roots, split, self_prime = _p_roots(bound)
     alive = np.ones(hi - lo, dtype=bool)
-    for ell, r in p_roots:
-        alive[(r - lo) % ell::ell] = False
-    small = math.isqrt((_SIEVE_BOUND - 2) // 4)  # the last a with p < _SIEVE_BOUND
-    alive[:max(0, small - lo + 1)] = True
-    return (np.flatnonzero(alive) + lo).tolist()
+    first = (roots - lo) % ells
+    for ell, start in zip(ells[:split].tolist(), first[:split].tolist()):
+        alive[start::ell] = False
+    alive[first[split:][first[split:] < hi - lo]] = False
+    alive[self_prime[(lo <= self_prime) & (self_prime < hi)] - lo] = True
+    return np.flatnonzero(alive) + lo
 
 
-def _sieve_q(ps, window):
-    """For each p, the bits i of the window with a sieving prime dividing
-    1 + p b^2, b = 128 window + 2i + 2."""
-    ells, offsets, _ = _sieve_primes()
+def _sieve_q(p, window, width):
+    """The candidates (row, b) of a window, b = 128 window + 2, ...,
+    128 window + 2 width, in the order of row, then b: every
+    q = 1 + p[row] b^2 that no sieving prime divides, and every q below
+    ``_SIEVE_BOUND``."""
+    ells, offsets = _sieve_primes()
     table = _q_table(window)
-    ps = np.array(ps, dtype=np.int64)
-    mask = np.zeros(len(ps), dtype=np.uint64)
+    struck = np.zeros(len(p), dtype=np.uint64)
     for ell, offset in zip(ells, offsets):
-        mask |= table[offset + ps % ell]
-    return mask.tolist()
+        struck |= table[offset + p % ell]
+    struck = np.unpackbits(struck.astype("<u8").view(np.uint8), bitorder="little")
+    struck = struck.reshape(len(p), 64)[:, :width].astype(bool)
+    b = 128 * window + 2 + 2 * np.arange(width)
+    if window == 0:
+        # a q below the bound may be a sieving prime itself
+        struck &= 1 + p[:, None] * b * b >= _SIEVE_BOUND
+    rows, cols = np.nonzero(~struck)
+    return rows, b[cols]
 
 
-def _certify(q, p, b2):
-    """True if q = 1 + p b2 is proved prime, False if proved composite,
-    None if undecided.  Sound only for a prime p > b2."""
-    for c in _CERTIFY_BASES:
-        x = pow(c, b2, q)
-        if pow(x, p, q) != 1:
-            return False
-        if math.gcd(x - 1, q) == 1:
-            return True
-    return None
+def _certify_batch(q, p, b2):
+    """Per q = 1 + p b2 (uint64 arrays, odd q < 2^63): 1 if q is proved
+    prime, 0 if proved composite, -1 if undecided.  Sound only for a
+    prime p > b2."""
+    verdict = np.full(len(q), -1, dtype=np.int8)
+    todo = np.arange(len(q))
+    neg_inv, one = _montgomery(q)
+    c, last = one, 1
+    for base in _CERTIFY_BASES:
+        for _ in range(base - last):  # c = base 2^64 mod q
+            c = c + one
+            c -= q * (c >= q)
+        last = base
+        x = _mont_pow(c, b2, q, neg_inv, one)
+        fermat = _mont_pow(x, p, q, neg_inv, one) != one
+        coprime = np.gcd((x + q - one) % q, q) == 1
+        verdict[todo[fermat]] = 0
+        verdict[todo[~fermat & coprime]] = 1
+        keep = ~fermat & ~coprime
+        todo, q, p, b2, neg_inv, one, c = (
+            v[keep] for v in (todo, q, p, b2, neg_inv, one, c))
+    return verdict
 
 
 def _scan_chunk(args):
@@ -284,34 +402,25 @@ def _scan_chunk(args):
     a_lo, a_hi, b_max = args
     found = []
     half = b_max // 2  # the number of even b
+    bound = math.isqrt(1 + 4 * (a_hi - 1) ** 2)
     for lo in range(a_lo, a_hi, _BLOCK):
-        primes = [(a, p) for a in _sieve_p(lo, min(lo + _BLOCK, a_hi))
-                  if is_prime_u64(p := 1 + 4 * a * a)]
-        ps = [p for _, p in primes]
+        a = _sieve_p(lo, min(lo + _BLOCK, a_hi), bound)
+        p = 1 + 4 * a * a
+        a_list, p_list = a.tolist(), p.tolist()
         for window in range((half + 63) // 64):
-            every = (1 << min(64, half - 64 * window)) - 1
-            masks = _sieve_q(ps, window)
-            for (a, p), mask in zip(primes, masks):
-                bits = every & ~mask
-                if window == 0:
-                    b = 2
-                    while 1 + p * b * b < _SIEVE_BOUND:
-                        bits |= (1 << (b // 2 - 1)) & every
-                        b += 2
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    b = 128 * window + 2 * low.bit_length()
-                    b2 = b * b
-                    q = 1 + p * b2
-                    if q < _SIEVE_BOUND or p <= b2:
-                        prime = is_prime_u64(q)
-                    else:
-                        prime = _certify(q, p, b2)
-                        if prime is None:
-                            prime = is_prime_u64(q)
-                    if prime:
-                        found.append((a, p, b, q))
+            rows, b = _sieve_q(p, window, min(64, half - 64 * window))
+            pr, b2 = p[rows], b * b
+            q = 1 + pr * b2
+            verdict = np.full(len(q), -1, dtype=np.int8)
+            sure = (pr > b2) & (q >= _SIEVE_BOUND)
+            verdict[sure] = _certify_batch(*(v[sure].astype(np.uint64) for v in (q, pr, b2)))
+            for k in np.flatnonzero(verdict < 0).tolist():
+                verdict[k] = is_prime_u64(int(q[k]))
+            keep = verdict == 1
+            # the rows of one p share its int objects, as the tuples are kept
+            rows = rows[keep].tolist()
+            found.extend(zip(map(a_list.__getitem__, rows), map(p_list.__getitem__, rows),
+                             b[keep].tolist(), q[keep].tolist()))
     return found
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from corpus import cyclic_cm, empty_pairs_datum, noncm_coprime_product, q8_cm
-from cmtori import formats
+from cmtori import cli, formats
 from cmtori.cli import main
 
 
@@ -269,6 +269,22 @@ def test_landau_search_cli(tmp_path):
     assert payload["pair_count"] >= 1
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["1", "5"]
+
+
+def test_landau_search_unwritable_out_exit_code(tmp_path, monkeypatch):
+    # the output is opened before the search, so a bad path fails at once
+    def never(*args, **kwargs):
+        raise AssertionError("search ran before the output was opened")
+
+    monkeypatch.setattr(cli, "search", never)
+    target = tmp_path / "missing" / "pairs.csv"
+    code, out = run_cli(["landau", "search", "--a-max", "5", "--b-max", "10",
+                         "--out", str(target)])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3 and error["context"] == {"path": str(target)}
+    assert error["message"].startswith("cannot write output file: ")
+    assert not target.parent.exists()
 
 
 def test_datum_with_permutation_group(tmp_path):

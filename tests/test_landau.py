@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,11 @@ def test_search_keeps_sieving_primes_as_p_and_q():
         assert (p, q) in found
 
 
+def _certify(qs, ps, b2s):
+    """The batched certificate on Python ints, as a list of verdicts."""
+    return landau._certify_batch(*(np.array(v, dtype=np.uint64) for v in (qs, ps, b2s))).tolist()
+
+
 def test_certificate_needs_p_above_b_squared():
     # q = 1 + 5 * 9702^2 is composite, every prime factor is 1 mod 5 and the
     # certificate accepts it; only p > b^2 makes the certificate a proof
@@ -149,21 +156,90 @@ def test_certificate_needs_p_above_b_squared():
     q = 1 + p * b * b
     assert factorize(q) == {13721: 1, 34301: 1}
     assert all(r % p == 1 for r in factorize(q))
-    assert landau._certify(q, p, b * b) is True
+    assert _certify([q], [p], [b * b]) == [1]
     assert _rows(search(1, b)) == _reference_rows(1, b)
 
 
 def test_certificate_decides_every_q_with_p_above_b_squared():
-    decided = 0
+    cases = []
     for a in range(50, 601):
         p = 1 + 4 * a * a
         if not is_prime_u64(p):
             continue
         for b in range(2, 101, 2):
-            q = 1 + p * b * b
-            assert landau._certify(q, p, b * b) is is_prime_u64(q), (a, b)
-            decided += 1
+            cases.append((1 + p * b * b, p, b * b))
+    decided = len(cases)
+    # and q just below 2^63, at the top of the supported range
+    for a in range(15_000_000, 15_002_000):
+        p = 1 + 4 * a * a
+        if is_prime_u64(p):
+            cases.extend((1 + p * b * b, p, b * b) for b in (96, 98, 100))
+    assert max(q for q, _, _ in cases) > 1 << 62
+    verdicts = _certify(*zip(*cases))
+    for (q, p, b2), verdict in zip(cases, verdicts):
+        assert verdict == is_prime_u64(q), (q, p, b2)
     assert decided > 3000
+
+
+def test_certificate_needs_gcd_one():
+    # 29341 = 13 * 37 * 61 is a Carmichael number prime to 2, 3, 5 and 7:
+    # c^(q-1) = 1 for every base, but c^36 = 1 (mod 13), so no base decides it
+    assert _certify([29341], [815], [36]) == [-1]
+
+
+def _moduli():
+    rng = np.random.default_rng(20261018)
+    drawn = rng.integers(1, 1 << 62, size=200, dtype=np.int64)
+    small = rng.integers(1, 1 << 20, size=50, dtype=np.int64)
+    return [3, 5, (1 << 63) - 1, (1 << 63) - 25, (1 << 32) + 1, (1 << 32) - 1] + [
+        2 * int(n) + 1 for n in np.concatenate([drawn, small])]
+
+
+def test_montgomery_mulmod_matches_python_pow():
+    rng = np.random.default_rng(7)
+    xs, ys, ms = [], [], []
+    for m in _moduli():
+        picks = [0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64))]
+        for x in picks:
+            for y in picks:
+                xs.append(x), ys.append(y), ms.append(m)
+    m = np.array(ms, dtype=np.uint64)
+    neg_inv, one = landau._montgomery(m)
+    assert [(n * k + 1) % (1 << 64) for n, k in zip(ms, neg_inv.tolist())] == [0] * len(ms)
+    assert one.tolist() == [(1 << 64) % n for n in ms]
+    got = landau._mont_mul(np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64),
+                           m, neg_inv).tolist()
+    assert got == [x * y * pow(1 << 64, -1, n) % n for x, y, n in zip(xs, ys, ms)]
+
+
+def test_montgomery_powmod_matches_python_pow():
+    rng = np.random.default_rng(8)
+    xs, es, ms = [], [], []
+    for m in _moduli():
+        for x in (0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64))):
+            for e in (0, 1, 2, int(rng.integers(0, 1 << 62))):
+                xs.append(x), es.append(e), ms.append(m)
+    m = np.array(ms, dtype=np.uint64)
+    neg_inv, one = landau._montgomery(m)
+    to_mont = np.array([(x << 64) % n for x, n in zip(xs, ms)], dtype=np.uint64)
+    got = landau._mont_pow(to_mont, np.array(es, dtype=np.uint64), m, neg_inv, one).tolist()
+    assert got == [(pow(x, e, n) << 64) % n for x, e, n in zip(xs, es, ms)]
+
+
+def _sieve_p_matches_primality(starts, hi_max):
+    bound = math.isqrt(1 + 4 * (hi_max - 1) ** 2)
+    for lo in starts:
+        hi = min(lo + landau._BLOCK, hi_max)
+        expected = [a for a in range(lo, hi) if is_prime_u64(1 + 4 * a * a)]
+        assert landau._sieve_p(lo, hi, bound).tolist() == expected, lo
+
+
+def test_p_sieve_is_complete():
+    # blocks from a = 1 and blocks straddling those boundaries; p = 5, 17,
+    # 37, ... are sieving primes themselves and must survive
+    _sieve_p_matches_primality(range(1, 20001, landau._BLOCK), 20001)
+    _sieve_p_matches_primality(range(landau._BLOCK // 2, 20001, landau._BLOCK), 20001)
+    _sieve_p_matches_primality([10 ** 6 - landau._BLOCK // 2], 10 ** 6 + landau._BLOCK // 2)
 
 
 def test_search_deterministic_across_workers():
@@ -218,7 +294,6 @@ def test_disjoint_family():
     res = search(3, 8)
     fam = disjoint_family(res.pairs, 2)
     assert len(fam) == 2
-    import math
     a, b = fam
     assert math.gcd(a.p * a.q, b.p * b.q) == 1
     only_five = [p for p in res.pairs if p.p == 5]

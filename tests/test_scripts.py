@@ -27,7 +27,9 @@ def test_landau_cost_with_one_run(tmp_path):
     (size,) = json.loads(out.read_text())["sizes"]
     counts = size["counts"]
     assert counts["pairs"] == search(300, 100).pair_count
-    assert counts["p_tests"] == counts["p_sieve_survivors"] <= counts["p_grid"] == 300
+    # the p-sieve is complete: its survivors are the primes, with no test
+    assert counts["p_tests"] == 0
+    assert counts["primes_p"] == counts["p_sieve_survivors"] <= counts["p_grid"] == 300
     assert counts["q_grid"] == counts["primes_p"] * 50
     assert counts["q_sieve_survivors"] == (counts["certified"] + counts["fermat_rejected"]
                                            + counts["q_fallbacks"])
