@@ -92,7 +92,8 @@ def child(label):
     """Runs in a fresh interpreter: the lattices and one H^2, each timed;
     prints one JSON line."""
     sys.path.insert(0, str(ROOT / "src"))
-    from cmtori.cohomology import CohomologyBudget, cohomology, presentation
+    from cmtori.cohomology import CohomologyBudget, cohomology
+    from cmtori.groups import presentation
     from cmtori.lattice import character_lattices
 
     datum, kind = _datum(label)

@@ -72,7 +72,6 @@ class SmithForm:
     d: Matrix
     v: Matrix
     u_inv: Matrix
-    v_inv: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -88,7 +87,7 @@ def smith_normal_form(m: Matrix) -> SmithForm:
 
     Pivots on the smallest-magnitude nonzero entry to bound coefficient
     growth.  Diagonal entries are nonnegative and satisfy the divisibility
-    chain; all four transformation matrices are returned.
+    chain; u, its inverse and v are returned.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -99,7 +98,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     u = [list(row) for row in identity(nr)]
     u_inv = [list(row) for row in identity(nr)]
     v = [list(row) for row in identity(nc)]
-    v_inv = [list(row) for row in identity(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -112,7 +110,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
@@ -131,9 +128,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
             r[i] += q * r[j]
         for r in v:
             r[i] += q * r[j]
-        vi, vj = v_inv[i], v_inv[j]
-        for k in range(nc):
-            vj[k] -= q * vi[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -213,7 +207,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
         d=d,
         v=tuple(tuple(r) for r in v),
         u_inv=tuple(tuple(r) for r in u_inv),
-        v_inv=tuple(tuple(r) for r in v_inv),
     )
     return form
 
@@ -448,11 +441,16 @@ class SubgroupData:
 
 
 def subgroup_of(ambient: FinAb, generators) -> SubgroupData:
-    """The subgroup generated by the given elements, in invariant-factor form."""
+    """The subgroup generated by the given elements, in invariant-factor form.
+
+    Zero and repeated generators are dropped first (the first occurrence
+    is kept): they would only add relation columns to the Smith form.
+    """
     gens = list(generators)
     for g in gens:
         if g.group != ambient:
             raise ValueError("generator not in the ambient group")
+    gens = list(dict.fromkeys(g for g in gens if not g.is_zero))
     m = len(gens)
     ra = ambient.rank
     p = tuple(tuple(g.coords[i] for g in gens) for i in range(ra))
@@ -539,13 +537,12 @@ def pairing(char: AbElement, el: AbElement):
     return num % den, den
 
 
-def annihilator(a: FinAb, generators) -> SubgroupData:
-    """Characters vanishing on the subgroup generated by ``generators``.
+def annihilator(w: SubgroupData) -> SubgroupData:
+    """Characters of the ambient group A vanishing on the subgroup W.
 
-    Returned as a subgroup of dual_group(a); |Ann(W)| * |W| = |A|.
+    Returned as a subgroup of dual_group(A); |Ann(W)| * |W| = |A|.
     """
-    sub = subgroup_of(a, generators)
-    return kernel_of_hom(dual_hom(sub.inclusion))
+    return kernel_of_hom(dual_hom(w.inclusion))
 
 
 def factor_through(incl: AbHom, f: AbHom) -> AbHom:

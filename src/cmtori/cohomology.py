@@ -1,10 +1,8 @@
 """Group cohomology on the resolution of a Schreier presentation.
 
-Each group G gets one presentation from its Cayley table (``presentation``):
-S is the greedy generators of ``groups._greedy_generators``, a
-breadth-first tree of right multiplications by S gives each element g a
-tree word w_g, and each of the |G|(|S| - 1) + 1 non-tree edges (g, s) of
-the Cayley graph gives the relator w_g s w_(gs)^(-1) (Schreier).  Its
+Each group G has one Schreier presentation, ``groups.presentation``:
+generators S, a tree word w_g for each element g, and one relator
+w_g s w_(gs)^(-1) for each non-tree edge (g, s) of the Cayley graph.  Its
 resolution begins ZG^R -> ZG^S -> ZG -> Z (Fox 1953; Brown, *Cohomology of
 Groups*, II.5), so cochains of degree 0, 1, 2 are M, M^S, M^R, and
 
@@ -33,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +51,7 @@ from .abelian import (
 )
 from .datum import NormTorusDatum
 from .errors import BudgetExceededError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, _greedy_generators, is_normal
+from .groups import FiniteGroup, Subgroup, is_normal, presentation
 from .lattice import (
     GLattice,
     character_lattices,
@@ -88,44 +85,6 @@ DEFAULT_BUDGET = CohomologyBudget()
 # ---------------------------------------------------------------------------
 # the resolution of the Schreier presentation
 # ---------------------------------------------------------------------------
-
-class Presentation(NamedTuple):
-    """The Schreier presentation of a group (see the module docstring)."""
-
-    generators: tuple[int, ...]     # S
-    right: np.ndarray               # right[g, i] = g s_i
-    order: tuple[int, ...]          # the elements, breadth first from e
-    parent: np.ndarray              # tree edge (parent[g], letter[g]) into g,
-    letter: np.ndarray              # parent[g] s_letter[g] = g; -1 at e
-    relators: np.ndarray            # the non-tree edges (g, i), row-major
-    relator_of: np.ndarray          # index of edge (g, i) among them, -1 on the tree
-
-
-@lru_cache(maxsize=256)
-def presentation(group: FiniteGroup) -> Presentation:
-    """The Schreier presentation of a group's Cayley table, cached per group."""
-    gens = _greedy_generators(group.table, group.identity, group.elements())
-    n, e = group.order, group.identity
-    right = np.array([[row[s] for s in gens] for row in group.table],
-                     dtype=np.int64).reshape(n, len(gens))
-    parent = np.full(n, -1, dtype=np.int64)
-    letter = np.full(n, -1, dtype=np.int64)
-    order = [e]
-    for h in order:                 # the list grows as it is walked
-        for i, c in enumerate(right[h].tolist()):
-            if c != e and parent[c] < 0:
-                parent[c], letter[c] = h, i
-                order.append(c)
-    non_tree = np.ones((n, len(gens)), dtype=bool)
-    non_tree[parent[order[1:]], letter[order[1:]]] = False
-    relators = np.argwhere(non_tree)
-    relator_of = np.full((n, len(gens)), -1, dtype=np.int64)
-    relator_of[non_tree] = np.arange(len(relators))
-    for array in (right, parent, letter, relators, relator_of):
-        array.flags.writeable = False   # shared through the cache
-    return Presentation(tuple(gens), right, tuple(order), parent, letter, relators,
-                        relator_of)
-
 
 def _tree_integral(lattice: GLattice) -> np.ndarray:
     """The (|G|, |S|, rank, rank) array T with F(g) = sum_i T[g, i] f(s_i)."""

@@ -170,7 +170,7 @@ def primitive_part(datum: NormTorusDatum) -> PrimitivePart:
                                           for i in range(ker.group.rank)))
             w_gens.append(nat(ker.inclusion(gen)))
     w = subgroup_of(g_ab.group, w_gens)
-    ann = annihilator(g_ab.group, w_gens)
+    ann = annihilator(w)
     if ann.group.order * w.group.order != g_ab.group.order:
         raise InternalCheckError("annihilator order check failed")
     return PrimitivePart(ann.group.order, ann, w)
@@ -182,11 +182,6 @@ def sha2(datum: NormTorusDatum) -> FinAb:
     combined, _, _ = _combined_transfer(datum)
     dual = dual_hom(combined)
     # exactness puts the image inside the primitive part; a failure is a bug
-    for j in range(dual.domain.rank):
-        col = dual.codomain.element(tuple(dual.matrix[i][j]
-                                          for i in range(dual.codomain.rank)))
-        if not prim.contains(col):
-            raise InternalCheckError("dual transfer image escapes the primitive part")
     try:
         lifted = factor_through(prim.characters.inclusion, dual)
     except InternalCheckError as exc:

@@ -11,6 +11,14 @@ associative.  For a group such a set has at most log2(order) elements.
 Subgroups are sorted element tuples, and conjugacy-class representatives
 are chosen as the lexicographically least element list, so every
 enumeration here is deterministic across runs.
+
+Each group has one Schreier presentation (``presentation``, cached per
+group): S is the greedy generators of Light's test, a breadth-first tree
+of right multiplications by S gives each element g a tree word w_g, and
+each of the |G|(|S| - 1) + 1 non-tree edges (g, s) of the Cayley graph
+gives the relator w_g s w_(gs)^(-1) (Schreier; Brown, *Cohomology of
+Groups*, II.5).  ``abelianization`` reads G^ab off its abelianized
+relators, and ``cohomology`` resolves it.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
 from .abelian import AbElement, AbHom, FinAb, smith_normal_form
-from .errors import ConstructionError
+from .errors import ConstructionError, InternalCheckError
 from .landau import factorize
 
 MAX_ORDER = 512
@@ -100,7 +109,10 @@ def _analyze_table(table):
             if all(len(other) == len(row) for other in table):
                 raise ConstructionError("table is not square", shape=[n, len(row)])
             raise ConstructionError("table is not square", row=i, length=len(row))
-    t = np.asarray(table, dtype=np.int64)
+    try:
+        t = np.asarray(table, dtype=np.int64)
+    except OverflowError:           # an entry beyond int64 is out of range too
+        raise ConstructionError("table entry out of range") from None
     if t.min() < 0 or t.max() >= n:
         raise ConstructionError("table entry out of range")
     ref = np.arange(n)
@@ -603,8 +615,7 @@ def sylow(group: FiniteGroup, p: int) -> Subgroup:
     while current.order < target:
         norm = normalizer(group, current)
         local, embed = norm.as_group()
-        local_cur = Subgroup(local, tuple(sorted(embed.index(x) for x in current.elements)))
-        quot = quotient_group(local, local_cur)
+        quot = quotient_group(local, norm.localize(current))
         lift = None
         for q in quot.group.elements():
             o = quot.group.element_order(q)
@@ -633,6 +644,48 @@ def quotient_group(group: FiniteGroup, n: Subgroup) -> QuotientGroup:
     reps = tuple(cs[0] for cs in parts)
     table = np.array(proj)[np.array([group.table[r] for r in reps])[:, reps]]
     return QuotientGroup(from_table(table), tuple(proj), reps)
+
+
+# ---------------------------------------------------------------------------
+# the Schreier presentation
+# ---------------------------------------------------------------------------
+
+class Presentation(NamedTuple):
+    """The Schreier presentation of a group (see the module docstring)."""
+
+    generators: tuple[int, ...]     # S
+    right: np.ndarray               # right[g, i] = g s_i
+    order: tuple[int, ...]          # the elements, breadth first from e
+    parent: np.ndarray              # tree edge (parent[g], letter[g]) into g,
+    letter: np.ndarray              # parent[g] s_letter[g] = g; -1 at e
+    relators: np.ndarray            # the non-tree edges (g, i), row-major
+    relator_of: np.ndarray          # index of edge (g, i) among them, -1 on the tree
+
+
+@lru_cache(maxsize=256)
+def presentation(group: FiniteGroup) -> Presentation:
+    """The Schreier presentation of a group's Cayley table, cached per group."""
+    gens = _greedy_generators(group.table, group.identity, group.elements())
+    n, e = group.order, group.identity
+    right = np.array([[row[s] for s in gens] for row in group.table],
+                     dtype=np.int64).reshape(n, len(gens))
+    parent = np.full(n, -1, dtype=np.int64)
+    letter = np.full(n, -1, dtype=np.int64)
+    order = [e]
+    for h in order:                 # the list grows as it is walked
+        for i, c in enumerate(right[h].tolist()):
+            if c != e and parent[c] < 0:
+                parent[c], letter[c] = h, i
+                order.append(c)
+    non_tree = np.ones((n, len(gens)), dtype=bool)
+    non_tree[parent[order[1:]], letter[order[1:]]] = False
+    relators = np.argwhere(non_tree)
+    relator_of = np.full((n, len(gens)), -1, dtype=np.int64)
+    relator_of[non_tree] = np.arange(len(relators))
+    for array in (right, parent, letter, relators, relator_of):
+        array.flags.writeable = False   # shared through the cache
+    return Presentation(tuple(gens), right, tuple(order), parent, letter, relators,
+                        relator_of)
 
 
 # ---------------------------------------------------------------------------
@@ -669,68 +722,44 @@ def commutator_subgroup(group: FiniteGroup) -> Subgroup:
     return subgroup_generated(group, np.flatnonzero(np.bincount(commutators.ravel())).tolist())
 
 
-def _abelian_coordinates(group: FiniteGroup):
-    """Invariant factors and coordinates for an abelian Cayley-table group."""
-    order = group.order
-    gens = []
-    have = {group.identity}
-    while len(have) < order:
-        pick = None
-        for g in group.elements():
-            if g in have:
-                continue
-            o = group.element_order(g)
-            if pick is None or o > pick[0]:
-                pick = (o, g)
-        gens.append(pick[1])
-        have = set(closure(group, gens))
-    s = len(gens)
-    if s == 0:
-        return FinAb(()), tuple(() for _ in range(order))
-    # breadth-first exponent vectors; back edges give relation vectors
-    vecs = {group.identity: (0,) * s}
-    frontier = [group.identity]
-    relations = []
-    while frontier:
-        nxt = []
-        for x in frontier:
-            vx = vecs[x]
-            for i, g in enumerate(gens):
-                y = group.table[x][g]
-                vy = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
-                if y in vecs:
-                    rel = tuple(a - b for a, b in zip(vy, vecs[y]))
-                    if any(rel):
-                        relations.append(rel)
-                else:
-                    vecs[y] = vy
-                    nxt.append(y)
-        frontier = nxt
-    rel_matrix = tuple(tuple(rel[i] for rel in relations) for i in range(s))
-    form = smith_normal_form(rel_matrix)
-    diag = form.diagonal
-    if len(diag) != s or any(x == 0 for x in diag) or math.prod(diag) != order:
-        raise ConstructionError("abelian structure extraction failed", diagonal=list(diag))
-    keep = [i for i in range(s) if diag[i] > 1]
-    fin = FinAb(tuple(diag[i] for i in keep))
-    coords = []
-    for g in range(order):
-        w = vecs[g]
-        full = tuple(sum(form.u[i][j] * w[j] for j in range(s)) for i in range(s))
-        coords.append(tuple(full[i] % diag[i] for i in keep))
-    return fin, tuple(coords)
-
-
 def abelianization(group: FiniteGroup) -> Abelianization:
-    derived = commutator_subgroup(group)
-    quot = quotient_group(group, derived)
-    fin, qcoords = _abelian_coordinates(quot.group)
-    images = tuple(qcoords[quot.projection[g]] for g in group.elements())
-    sections = []
-    for j in range(fin.rank):
-        unit = tuple(1 if i == j else 0 for i in range(fin.rank))
-        sections.append(images.index(unit))
-    return Abelianization(group, fin, images, tuple(sections))
+    """G^ab as Z^S modulo the abelianized relators of ``presentation``.
+
+    With w_g the exponent sums of the tree word of g, the relator of the
+    non-tree edge (g, i) abelianizes to w_g + e_i - w_(g s_i).  One Smith
+    form U R V = D of the distinct nonzero relation vectors R gives the
+    invariant factors and the coordinates (U w_g) mod D of g.  A zero on
+    the diagonal, or g s != g + s in coordinates for some g and s in S, is
+    a bug; the latter suffices by Light's induction (see ``lattice``).
+    """
+    pres = presentation(group)
+    n, s = group.order, len(pres.generators)
+    words = np.zeros((n, s), dtype=np.int64)
+    for c in pres.order[1:]:
+        words[c] = words[pres.parent[c]]
+        words[c, pres.letter[c]] += 1
+    g, i = pres.relators.T
+    rel = words[g] - words[pres.right[g, i]]
+    rel[np.arange(len(g)), i] += 1
+    rel = sorted(set(map(tuple, rel[rel.any(axis=1)].tolist())))
+    form = smith_normal_form(tuple(zip(*rel)))     # one column per relation
+    diag = form.diagonal
+    if len(diag) < s or 0 in diag:
+        raise InternalCheckError("abelianization has a zero invariant factor",
+                                 order=n, diagonal=list(diag))
+    keep = [j for j in range(s) if diag[j] > 1]
+    fin = FinAb(tuple(diag[j] for j in keep))
+    factors = np.array(fin.factors, dtype=np.int64)
+    # rows of U reduced mod their factor keep U w inside int64
+    u = np.array([[x % diag[j] for x in form.u[j]] for j in keep],
+                 dtype=np.int64).reshape(fin.rank, s)
+    coords = (words @ u.T) % factors
+    if np.any((coords[:, None] + coords[list(pres.generators)] - coords[pres.right])
+              % factors):
+        raise InternalCheckError("abelianization is not a homomorphism", order=n)
+    units = (coords[:, None] == np.eye(fin.rank, dtype=np.int64)).all(axis=2)
+    sections = tuple(np.argmax(units, axis=0).tolist())
+    return Abelianization(group, fin, tuple(map(tuple, coords.tolist())), sections)
 
 
 def induced_abelian_hom(sub: Subgroup, sub_ab: Abelianization,

@@ -36,7 +36,7 @@ def group_abelianization(group: FiniteGroup) -> Abelianization:
 def subgroup_abelianization(sub: Subgroup):
     """(Abelianization of the subgroup's own table, local->parent element map)."""
     local, embed = sub.as_group()
-    return abelianization(local), embed
+    return group_abelianization(local), embed
 
 
 def canonical_section(group: FiniteGroup, sub: Subgroup, side: str = "left"):

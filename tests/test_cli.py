@@ -153,6 +153,16 @@ def test_ntilde_element_out_of_range_exit_code(tmp_path):
     assert error["context"] == {"element": 4, "order": 4}
 
 
+@pytest.mark.parametrize("command", [("tau", "datum"), ("oracle", "verify"), ("classify",)],
+                         ids=" ".join)
+def test_table_entry_beyond_int64_exit_code(tmp_path, command):
+    for entry in (10 ** 40, 2 ** 63):
+        error = _datum_error(tmp_path, {"group": {"order": 2, "table": [[0, 1], [1, entry]]},
+                                        "pairs": []}, command)
+        assert error["message"] == "table entry out of range"
+        assert error["context"] == {}
+
+
 def test_fast_path_unavailable_exit_code(tmp_path):
     from cmtori.datum import NormTorusDatum, TorusPair
     from cmtori.groups import dihedral, subgroup_generated, trivial_subgroup

@@ -29,7 +29,6 @@ from cmtori.cohomology import (
     cohomology,
     connecting_hom,
     ono_tamagawa,
-    presentation,
     primitive_part_oracle,
     restrict_cochain,
     restriction_hom,
@@ -43,6 +42,7 @@ from cmtori.groups import (
     cyclic,
     direct_product,
     full_subgroup,
+    presentation,
     quaternion8,
     subgroup_generated,
     trivial_subgroup,

@@ -27,6 +27,7 @@ from cmtori.groups import (
     from_table,
     induced_abelian_hom,
     is_normal,
+    presentation,
     quaternion8,
     quotient_group,
     residues_of,
@@ -35,6 +36,7 @@ from cmtori.groups import (
     trivial_subgroup,
     units_mod,
 )
+from cmtori.transfer import group_abelianization, subgroup_abelianization
 
 Q8 = quaternion8()
 
@@ -215,6 +217,41 @@ def test_abelianization_order_times_derived_order():
             sec = ab.sections[j]
             unit = tuple(1 if i == j else 0 for i in range(ab.group.rank))
             assert ab.images[sec] == unit
+
+
+def _abelianization_zoo():
+    yield cyclic(1)
+    yield units_mod(1024)
+    yield units_mod(1155)
+    yield dihedral(256)
+    yield direct_product(Q8, Q8, Q8).group
+    yield direct_product(*[cyclic(2)] * 9).group
+    yield from_permutation_generators([[[0, 1, 2, 3, 4]], [[0, 1]]], 5, "S5")
+    yield from_permutation_generators([[[0, 1, 2]], [[0, 1, 2, 3, 4]]], 5, "A5")
+
+
+@pytest.mark.parametrize("g", list(_abelianization_zoo()), ids=lambda g: g.name)
+def test_abelianization_zoo(g):
+    ab = abelianization(g)
+    coords = np.array(ab.images, dtype=np.int64).reshape(g.order, ab.group.rank)
+    factors = np.array(ab.group.factors, dtype=np.int64)
+    kernel = tuple(np.flatnonzero(~coords.any(axis=1)).tolist())
+    assert kernel == commutator_subgroup(g).elements
+    table = np.array(g.table)
+    assert not np.any((coords[:, None] + coords[None, :] - coords[table]) % factors)
+    assert [ab.images[x] for x in ab.sections] == [
+        tuple(int(i == j) for i in range(ab.group.rank)) for j in range(ab.group.rank)]
+    for cache in (presentation, group_abelianization, subgroup_abelianization):
+        cache.cache_clear()
+    assert group_abelianization(g) == ab
+    assert ab.group.order * len(kernel) == g.order   # A5 is perfect: |G^ab| = 1
+
+
+def test_subgroup_abelianization_shares_the_group_cache():
+    g = dihedral(6)
+    for sub in (subgroup_generated(g, [1]), subgroup_generated(g, [2, 6]),
+                trivial_subgroup(g)):
+        assert subgroup_abelianization(sub)[0] is group_abelianization(sub.as_group()[0])
 
 
 def test_direct_product_packing():

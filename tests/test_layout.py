@@ -1,9 +1,11 @@
-"""Module layout: every import at module top, and every name the benchmark's
-tracer binds (``cmbench/spans.py``) still present."""
+"""Module layout: every import at module top, every module-level name used
+somewhere, and every name the benchmark's tracer binds (``cmbench/spans.py``)
+still present."""
 
 import ast
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +38,38 @@ def test_traced_names_resolve():
         for module, attr in targets:
             fn = getattr(importlib.import_module(module), attr)
             assert hasattr(fn, "cache_info"), (metric, module, attr)
+
+
+def _used_names():
+    """Name -> [(file, line)] of every identifier, attribute, imported name and
+    string constant in the Python files of src/, tests/, scripts/ and cmbench/."""
+    used = defaultdict(list)
+    for folder in ("src", "tests", "scripts", "cmbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                used[name].append((path, node.lineno))
+    return used
+
+
+def test_every_module_level_definition_is_used():
+    """Each module-level def or class in src/cmtori is named somewhere outside
+    its own definition."""
+    used = _used_names()
+    unused = []
+    for path in sorted((ROOT / "src" / "cmtori").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(p == path and line in own for p, line in used[node.name]):
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
