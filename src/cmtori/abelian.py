@@ -504,47 +504,6 @@ def image_of_hom(f: AbHom) -> SubgroupData:
     return subgroup_of(f.codomain, cols)
 
 
-def dual_group(a: FinAb) -> FinAb:
-    """Hom(A, Q/Z); same invariant factors in the canonical pairing."""
-    return FinAb(a.factors)
-
-
-def dual_hom(f: AbHom) -> AbHom:
-    """Pontryagin dual, reversing arrows.
-
-    With chi_j the character sending the j-th generator to 1/d_j, the dual
-    matrix entry is d^dom_j * m_ij / d^cod_i (an exact integer because the
-    matrix respects generator orders).
-    """
-    dx = f.domain.factors
-    dy = f.codomain.factors
-    m = f.matrix
-    out = tuple(
-        tuple((dx[j] * m[i][j]) // dy[i] for i in range(len(dy)))
-        for j in range(len(dx)))
-    return AbHom(dual_group(f.codomain), dual_group(f.domain), out)
-
-
-def pairing(char: AbElement, el: AbElement):
-    """chi(x) in Q/Z returned as a Fraction-free (num, den) with den = exponent."""
-    a = el.group
-    if char.group != dual_group(a):
-        raise ValueError("character of a different group")
-    den = a.exponent if a.factors else 1
-    num = 0
-    for c, x, d in zip(char.coords, el.coords, a.factors):
-        num += c * x * (den // d)
-    return num % den, den
-
-
-def annihilator(w: SubgroupData) -> SubgroupData:
-    """Characters of the ambient group A vanishing on the subgroup W.
-
-    Returned as a subgroup of dual_group(A); |Ann(W)| * |W| = |A|.
-    """
-    return kernel_of_hom(dual_hom(w.inclusion))
-
-
 def factor_through(incl: AbHom, f: AbHom) -> AbHom:
     """g with incl o g = f, for injective ``incl`` whose image contains im f."""
     if incl.codomain != f.codomain:

@@ -5,11 +5,21 @@ normal outer subgroups, the Tamagawa number is
 
     tau = prod |N_i| / |primitive part of H^2(Z)|,
 
-and H^1, Sha^2 come with it.  The primitive part is computed without
-enumerating characters: a character f restricts into the image of a dual
-transfer exactly when it annihilates the image in G^ab of that transfer's
-kernel, so the whole computation is one annihilator of a subgroup W
-accumulated over the decomposition groups.
+and H^1, Sha^2 come with it.  The character-side statements are all
+computed on subgroups of G^ab: a finite abelian group has the invariant
+factors of its Pontryagin dual, and an annihilator Ann(X) of a subgroup
+X <= G^ab is dual to G^ab / X.  Write c : G^ab -> (+)_i N_i^ab for the
+combined relative transfer and K = ker c.  A character restricts into
+the image of a dual transfer exactly when it annihilates that transfer's
+kernel, so the primitive part is Ann(W) for the subgroup W of G^ab
+generated by the images of the local transfer kernels over the
+decomposition groups.  Then
+
+    H^1(torus) = ker(dual c) = Ann(im c)       ~ dual(coker c),
+    |primitive part| = |Ann(W)| = |G^ab| / |W|,
+    Sha^2 = Ann(W) / im(dual c) = Ann(W) / Ann(K)   ~ dual(K / W),
+
+and exactness of the four-term sequence is the inclusion W <= K.
 """
 
 from __future__ import annotations
@@ -19,18 +29,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import (
-    AbElement,
     AbHom,
     FinAb,
     SubgroupData,
-    annihilator,
     cokernel_of_hom,
     direct_sum,
-    dual_group,
-    dual_hom,
     factor_through,
     kernel_of_hom,
-    pairing,
     stack_homs,
     subgroup_of,
     zero_hom,
@@ -65,82 +70,64 @@ def _require_fast_path(datum: NormTorusDatum):
             "an outer subgroup is not normal; use the cohomology oracle")
 
 
+def _stacked(homs, domain: FinAb) -> AbHom:
+    """domain -> (+)_i codomain_i, the zero map into 0 for no maps."""
+    if not homs:
+        return zero_hom(domain, FinAb(()))
+    return stack_homs(homs, direct_sum([h.codomain for h in homs]))
+
+
 @lru_cache(maxsize=512)
-def _combined_transfer(datum: NormTorusDatum):
-    """(hom G^ab -> (+)_i N_i^ab, the direct sum, the relative targets)."""
-    g_ab = group_abelianization(datum.group)
-    targets = [relative_target(pair.outer, pair.inner) for pair in datum.pairs]
-    summed = direct_sum([t.group for t in targets])
-    if not datum.pairs:
-        return zero_hom(g_ab.group, summed.group), summed, ()
+def _combined_transfer(datum: NormTorusDatum) -> AbHom:
+    """The combined relative transfer c : G^ab -> (+)_i N_i^ab."""
     homs = [relative_transfer(datum.group, pair.outer, pair.inner)
             for pair in datum.pairs]
-    return stack_homs(homs, summed), summed, tuple(targets)
+    return _stacked(homs, group_abelianization(datum.group).group)
 
 
 def h1_norm_one(datum: NormTorusDatum) -> FinAb:
-    """H^1 of the norm-one character lattice: the sum of the dual N_i^ab."""
+    """H^1 of the norm-one character lattice: the sum of the N_i^ab (their
+    duals have the same invariant factors)."""
     targets = [relative_target(pair.outer, pair.inner) for pair in datum.pairs]
-    return direct_sum([dual_group(t.group) for t in targets]).group
+    return direct_sum([t.group for t in targets]).group
 
 
 def h1_torus(datum: NormTorusDatum) -> FinAb:
-    """H^1 of the torus character lattice: kernel of the dual combined transfer."""
-    combined, _, _ = _combined_transfer(datum)
-    return kernel_of_hom(dual_hom(combined)).group
+    """H^1 of the torus character lattice: Ann(im c), dual to coker c."""
+    return cokernel_of_hom(_combined_transfer(datum))[0]
 
 
 @dataclass(frozen=True)
 class PrimitivePart:
-    """The subgroup of characters of G^ab whose restriction to every
-    decomposition group lies in the image of the dual relative transfer."""
+    """The characters of G^ab whose restriction to every decomposition group
+    lies in the image of the dual relative transfer: Ann(W), of order
+    |G^ab| / |W|.  ``kernel`` is K = ker c, which contains W."""
 
     order: int
-    characters: SubgroupData       # inside dual(G^ab)
-    constraint: SubgroupData       # W <= G^ab; the primitive part is Ann(W)
-
-    def contains(self, char: AbElement) -> bool:
-        w = self.constraint
-        for j in range(w.group.rank):
-            gen = w.inclusion(w.group.element(
-                tuple(1 if i == j else 0 for i in range(w.group.rank))))
-            num, _ = pairing(char, gen)
-            if num != 0:
-                return False
-        return True
+    constraint: SubgroupData       # W <= G^ab
+    kernel: SubgroupData           # K <= G^ab
 
 
-def _double_coset_inner_twists(g: FiniteGroup, dec: Subgroup, pair: TorusPair):
-    """Conjugates g.inner.g^-1 over representatives of dec \\ G / outer.
+def _inner_conjugates(g: FiniteGroup, pair: TorusPair) -> tuple[Subgroup, ...]:
+    """The distinct conjugates x.inner.x^-1 over the cosets x.outer of G.
 
-    Restricting the induced norm-one block to a decomposition group
-    decomposes over these double cosets, and each block twists the inner
-    subgroup by its representative; for inner normal in G all twists
-    coincide.
+    Restricting the induced norm-one block of the pair to a decomposition
+    group D splits it over the double cosets D x outer; the block of
+    D x outer contributes the relative transfer of D into
+    (D meet outer) / (D meet x.inner.x^-1).  Using every coset of G/outer
+    instead of one per double coset changes nothing.  On the fast path
+    inner is normal in outer and outer in G, so another representative
+    y = d x n of D x outer (d in D, n in outer) gives the twist
+    y.inner.y^-1 = d (x.inner.x^-1) d^-1.  Conjugation by d is an inner
+    automorphism of D, so it is the identity on D^ab; it fixes
+    D meet outer.  The transfer is natural, so the two local transfers
+    differ by an isomorphism of their targets and have the same kernel in
+    D^ab.  Neither the stacked kernel nor W moves, and the list depends on
+    the pair alone, not on D.
     """
-    outer_cosets = cosets(g, pair.outer, "left")
-    coset_of = coset_index(g, outer_cosets)
-    seen = set()
-    twists = []
-    for idx, cs in enumerate(outer_cosets):
-        if idx in seen:
-            continue
-        orbit = {idx}
-        frontier = [idx]
-        while frontier:
-            current = frontier.pop()
-            rep = outer_cosets[current][0]
-            for d in dec.elements:
-                nxt = coset_of[g.table[d][rep]]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen.update(orbit)
-        rep = outer_cosets[min(orbit)][0]
-        conj = tuple(sorted(g.conj(rep, h) for h in pair.inner.elements))
-        twists.append(Subgroup(g, conj))
-    unique = {t.elements: t for t in twists}
-    return [unique[k] for k in sorted(unique)]
+    unique = {tuple(sorted(g.conj(cs[0], h) for h in pair.inner.elements))
+              for cs in cosets(g, pair.outer, "left")}
+    return tuple(Subgroup(g, elements) for elements in sorted(unique))
 
 
 @lru_cache(maxsize=512)
@@ -148,47 +135,34 @@ def primitive_part(datum: NormTorusDatum) -> PrimitivePart:
     _require_fast_path(datum)
     g = datum.group
     g_ab = group_abelianization(g)
+    conjugates = [(pair.outer, _inner_conjugates(g, pair)) for pair in datum.pairs]
     w_gens = []
     for dec in datum.effective_decomposition_set():
         local, _ = dec.as_group()
         d_ab, _ = subgroup_abelianization(dec)
-        local_pairs = []
-        for pair in datum.pairs:
-            di_local = dec.localize(intersect(dec, pair.outer))
-            for twisted_inner in _double_coset_inner_twists(g, dec, pair):
-                local_pairs.append((di_local, dec.localize(intersect(dec, twisted_inner))))
-        if local_pairs:
-            homs = [relative_transfer(local, o, i) for o, i in local_pairs]
-            summed = direct_sum([h.codomain for h in homs])
-            combined = stack_homs(homs, summed)
-        else:
-            combined = zero_hom(d_ab.group, FinAb(()))
-        ker = kernel_of_hom(combined)
-        nat = induced_abelian_hom(dec, d_ab, g_ab)
-        for j in range(ker.group.rank):
-            gen = ker.group.element(tuple(1 if i == j else 0
-                                          for i in range(ker.group.rank)))
-            w_gens.append(nat(ker.inclusion(gen)))
+        homs = []
+        for outer, inners in conjugates:
+            local_outer = dec.localize(intersect(dec, outer))
+            homs += [relative_transfer(local, local_outer, dec.localize(intersect(dec, inner)))
+                     for inner in inners]
+        ker = kernel_of_hom(_stacked(homs, d_ab.group))
+        local_w = induced_abelian_hom(dec, d_ab, g_ab).compose(ker.inclusion)
+        w_gens += [g_ab.group.element(col) for col in zip(*local_w.matrix)]
     w = subgroup_of(g_ab.group, w_gens)
-    ann = annihilator(w)
-    if ann.group.order * w.group.order != g_ab.group.order:
-        raise InternalCheckError("annihilator order check failed")
-    return PrimitivePart(ann.group.order, ann, w)
+    return PrimitivePart(g_ab.group.order // w.order, w,
+                         kernel_of_hom(_combined_transfer(datum)))
 
 
 def sha2(datum: NormTorusDatum) -> FinAb:
-    """Sha^2 of the torus lattice: primitive part modulo the dual transfer image."""
+    """Sha^2 of the torus lattice: Ann(W) / Ann(K), dual to K / W."""
     prim = primitive_part(datum)
-    combined, _, _ = _combined_transfer(datum)
-    dual = dual_hom(combined)
-    # exactness puts the image inside the primitive part; a failure is a bug
+    # exactness puts W inside K; a failure is a bug
     try:
-        lifted = factor_through(prim.characters.inclusion, dual)
+        w_in_k = factor_through(prim.kernel.inclusion, prim.constraint.inclusion)
     except InternalCheckError as exc:
         raise InternalCheckError(
             "dual transfer image escapes the primitive part") from exc
-    quot, _ = cokernel_of_hom(lifted)
-    return quot
+    return cokernel_of_hom(w_in_k)[0]
 
 
 def tamagawa(datum: NormTorusDatum) -> TamagawaReport:
@@ -401,23 +375,21 @@ def product_tamagawa(data, extras=()) -> ProductReport:
 
 
 def _primitive_inclusion(data, combined_datum, prod: ProductGroup) -> bool:
-    """Generators of the product of factor primitive parts stay primitive."""
+    """Whether the product of the factor primitive parts lies in the combined one.
+
+    With W and W_i the constraints of the combined datum and of factor i,
+    the pull-back of Ann(W_i) along the projection G -> G_i lies in
+    Ann(W) exactly when nat_i(W) <= Ann Ann W_i = W_i.
+    """
     g_ab = group_abelianization(combined_datum.group)
-    prim = primitive_part(combined_datum)
-    ok = True
+    w = primitive_part(combined_datum).constraint
     for i, d in enumerate(data):
         f_ab = group_abelianization(d.group)
         # natural map G^ab -> G_i^ab induced by the projection
         cols = [f_ab.images[prod.unpack(sec)[i]] for sec in g_ab.sections]
         nat = AbHom(g_ab.group, f_ab.group,
                     tuple(tuple(col[r] for col in cols) for r in range(f_ab.group.rank)))
-        co_nat = dual_hom(nat)  # dual(G_i^ab) -> dual(G^ab)
-        factor_prim = primitive_part(d)
-        chars = factor_prim.characters
-        for j in range(chars.group.rank):
-            gen = chars.group.element(tuple(1 if t == j else 0
-                                            for t in range(chars.group.rank)))
-            lifted = co_nat(chars.inclusion(gen))
-            if not prim.contains(lifted):
-                ok = False
-    return ok
+        _, mod_wi = cokernel_of_hom(primitive_part(d).constraint.inclusion)
+        if not mod_wi.compose(nat).compose(w.inclusion).is_zero:
+            return False
+    return True

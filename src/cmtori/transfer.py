@@ -44,20 +44,6 @@ def canonical_section(group: FiniteGroup, sub: Subgroup, side: str = "left"):
     return tuple(cs[0] for cs in parts), coset_index(group, parts)
 
 
-def _transfer_element(group, g, reps, coset_of, into_sub):
-    """Sum of the correction terms of g over left cosets, pushed through into_sub."""
-    t = group.table
-    inv = group.inverses
-    total = None
-    for rep in reps:
-        moved = t[g][rep]
-        rep2 = reps[coset_of[moved]]
-        h = t[inv[rep2]][moved]
-        val = into_sub(h)
-        total = val if total is None else total + val
-    return total
-
-
 def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
     """Transfer computed from an explicit section (one representative per coset).
 
@@ -75,13 +61,17 @@ def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
     sub_ab, _ = subgroup_abelianization(sub)
     local_index = sub.local_index()
     g_ab = group_abelianization(group)
-
-    def into_sub(h):
-        return sub_ab.project(local_index[h])
-
+    t = group.table
+    inv = group.inverses
     cols = []
     for g in g_ab.sections:
-        cols.append(_transfer_element(group, g, reps, coset_of, into_sub).coords)
+        total = sub_ab.group.zero()
+        for rep in reps:
+            # g.rep = rep2.h with rep2 the representative of g.rep's coset
+            moved = t[g][rep]
+            rep2 = reps[coset_of[moved]]
+            total += sub_ab.project(local_index[t[inv[rep2]][moved]])
+        cols.append(total.coords)
     matrix = tuple(tuple(col[i] for col in cols) for i in range(sub_ab.group.rank))
     return AbHom(g_ab.group, sub_ab.group, matrix)
 
@@ -168,19 +158,9 @@ def relative_target(outer: Subgroup, inner: Subgroup) -> RelativeTarget:
 
 @lru_cache(maxsize=4096)
 def relative_transfer(group: FiniteGroup, outer: Subgroup, inner: Subgroup) -> AbHom:
-    """Transfer of G into (outer/inner)^ab relative to ``inner``.
-
-    Equals the mod-inner projection composed with the transfer into outer^ab.
-    """
-    target = relative_target(outer, inner)
-    g_ab = group_abelianization(group)
-    reps, coset_of = canonical_section(group, outer)
-    cols = []
-    for g in g_ab.sections:
-        total = _transfer_element(group, g, reps, coset_of, target.project)
-        cols.append(total.coords)
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(target.group.rank))
-    return AbHom(g_ab.group, target.group, matrix)
+    """Transfer of G into (outer/inner)^ab relative to ``inner``: the
+    mod-inner projection composed with the transfer into outer^ab."""
+    return relative_target(outer, inner)._proj.compose(transfer(group, outer))
 
 
 @lru_cache(maxsize=1024)

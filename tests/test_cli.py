@@ -146,6 +146,18 @@ def test_overlapping_cycles_exit_code(tmp_path):
     assert error["context"] == {"generator": 1, "point": 0}
 
 
+@pytest.mark.parametrize("generators", [[5], ["abc"], [{"a": 1}], [None],
+                                        [[[0, 1], 2]], [[0, [1, 2]]]], ids=json.dumps)
+@pytest.mark.parametrize("command", [("tau", "datum"), ("oracle", "verify"), ("classify",)],
+                         ids=" ".join)
+def test_malformed_permutation_generator_exit_code(tmp_path, command, generators):
+    # a generator is an image array of integers or a list of integer cycles
+    error = _datum_error(tmp_path, {
+        "group": {"permutation_generators": generators, "degree": 3},
+        "pairs": []}, command)
+    assert error["message"].startswith("payload violates schema datum.schema.json")
+
+
 def test_ntilde_element_out_of_range_exit_code(tmp_path):
     error = _datum_error(tmp_path, {"group": {"family": "cyclic", "n": 4},
                                     "pairs": [{"H": [0], "Ntilde": [0, 2, 4]}]})

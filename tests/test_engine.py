@@ -4,8 +4,11 @@ from itertools import product as iter_product
 
 import pytest
 
+from character_side import character_side_inclusion, character_side_report
 from corpus import (
+    all_subgroups,
     biquadratic_field,
+    candidate_pairs,
     cm_corpus,
     cyclic_cm,
     empty_pairs_datum,
@@ -16,6 +19,7 @@ from corpus import (
     two_distinct_imag_quadratics,
     z4xz4_product,
 )
+from cmtori.constructors import q8_landau
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import (
     NK_AT_MOST_TWO,
@@ -27,6 +31,7 @@ from cmtori.engine import (
     h1_torus,
     imaginary_quadratic_count,
     primitive_part,
+    product_datum,
     product_tamagawa,
     sha2,
     tamagawa,
@@ -39,6 +44,10 @@ from cmtori.groups import (
     conjugate_subgroup,
     cyclic,
     dihedral,
+    direct_product,
+    from_permutation_generators,
+    full_subgroup,
+    is_normal,
     quaternion8,
     subgroup_generated,
     trivial_subgroup,
@@ -59,16 +68,48 @@ def test_engine_corpus_values(name, datum, expected):
 
 
 def test_primitive_part_membership_predicate():
-    # cyclic quartic: W = <g^2> inside Z/4, so exactly the even characters pass
+    # cyclic quartic: W = <g^2> inside G^ab = Z/4, so exactly the even
+    # characters annihilate it and the primitive part has order 2
     datum = cyclic_cm(4)
     prim = primitive_part(datum)
     assert prim.order == 2
-    from cmtori.abelian import FinAb, dual_group
+    w = prim.constraint
+    assert w.inclusion.codomain.factors == (4,)
+    assert w.group.factors == (2,)
+    assert w.inclusion(w.group.element((1,))).coords == (2,)
 
-    dual = dual_group(FinAb((4,)))
-    assert prim.contains(dual.element((2,)))
-    assert not prim.contains(dual.element((1,)))
-    assert prim.contains(dual.element((0,)))
+
+def _s4_non_normal_inner_data():
+    """S4 data whose inner subgroup (an order-2 subgroup of V4) is not
+    normal in G, alone, doubled, and with larger decomposition groups."""
+    g = from_permutation_generators([[1, 0, 2, 3], [1, 2, 3, 0]], 4)
+    subgroups = all_subgroups(g)
+    pairs = [p for p in candidate_pairs(g, subgroups) if not is_normal(g, p.inner)]
+    assert pairs
+    extras = [s for s in subgroups if s.order in (6, 8, 24)]
+    data = [NormTorusDatum(g, (p,)) for p in pairs]
+    data.append(NormTorusDatum(g, tuple(pairs[:2])))
+    data += [NormTorusDatum(g, (pairs[0],), decomposition_groups=(e,)) for e in extras]
+    return data
+
+
+def _false_branch_product():
+    data = [q8_landau(5, 181).datum, q8_landau(17, 613).datum]
+    prod = direct_product(*(d.group for d in data))
+    return data, (full_subgroup(prod.group),)
+
+
+def test_engine_matches_character_side_reference():
+    data = [d for _, d, _ in cm_corpus()] + fuzz_data() + _s4_non_normal_inner_data()
+    products = [([cyclic_cm(4), cyclic_cm(4)], ()), _false_branch_product()]
+    data += [product_datum(factors, extras)[0] for factors, extras in products]
+    for datum in data:
+        report = tamagawa(datum)
+        assert character_side_report(datum) == (
+            report.h1_torus.factors, report.primitive_order, report.sha2.factors)
+    for factors, extras in products:
+        assert (character_side_inclusion(factors, extras)
+                == product_tamagawa(factors, extras).primitive_inclusion)
 
 
 def test_exact_flag_follows_declared_complete():
@@ -249,6 +290,16 @@ def test_product_tamagawa_two_cyclic_quartics():
     assert rep.multiplicative and rep.primitive_inclusion
     # direct engine run on the packaged order-16 datum agrees
     assert tamagawa(z4xz4_product()).tau == 1
+
+
+def test_product_tamagawa_not_multiplicative():
+    # the whole product as a decomposition group makes the combined
+    # primitive part trivial, so neither factor's (order 4) lies in it
+    data, extras = _false_branch_product()
+    rep = product_tamagawa(data, extras)
+    assert not rep.primitive_inclusion and not rep.multiplicative
+    assert rep.product_tau == Fraction(1, 4)
+    assert rep.combined.tau == 4 and rep.combined.primitive_order == 1
 
 
 def test_product_tamagawa_rejects_noncyclic_decomposition_group():

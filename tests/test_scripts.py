@@ -45,3 +45,14 @@ def test_oracle_cost_child_reports_both_d1_shapes():
     assert out["d1_shape"] == [735, 60]
     assert out["bar_d1_shape"] == [3375, 225]
     assert out["h2"] == [2] * 6
+
+
+def test_cli_digest_repeats_on_oracle_verify():
+    runs = [subprocess.run([sys.executable, str(SCRIPTS / "cli_digest.py"), "--workloads",
+                            "oracle_verify", "--seeds", "1"],
+                           check=True, capture_output=True, text=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    workloads, probes = runs[0].splitlines()
+    assert workloads.startswith("workloads commands=28 sha256=")
+    assert probes.startswith("probes commands=18 sha256=")
