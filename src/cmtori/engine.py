@@ -47,6 +47,7 @@ from .groups import (
     ProductGroup,
     Subgroup,
     closure,
+    conjugation_orbit,
     coset_index,
     cosets,
     direct_product,
@@ -109,7 +110,8 @@ class PrimitivePart:
 
 
 def _inner_conjugates(g: FiniteGroup, pair: TorusPair) -> tuple[Subgroup, ...]:
-    """The distinct conjugates x.inner.x^-1 over the cosets x.outer of G.
+    """The distinct conjugates x.inner.x^-1 over the cosets x.outer of G,
+    sorted by their elements.
 
     Restricting the induced norm-one block of the pair to a decomposition
     group D splits it over the double cosets D x outer; the block of
@@ -123,11 +125,12 @@ def _inner_conjugates(g: FiniteGroup, pair: TorusPair) -> tuple[Subgroup, ...]:
     D meet outer.  The transfer is natural, so the two local transfers
     differ by an isomorphism of their targets and have the same kernel in
     D^ab.  Neither the stacked kernel nor W moves, and the list depends on
-    the pair alone, not on D.
+    the pair alone, not on D.  On the fast path inner is normal in outer
+    and outer in G, so the conjugates by G are the conjugates by coset
+    representatives of G/outer: the list is the conjugation orbit of inner.
     """
-    unique = {tuple(sorted(g.conj(cs[0], h) for h in pair.inner.elements))
-              for cs in cosets(g, pair.outer, "left")}
-    return tuple(Subgroup(g, elements) for elements in sorted(unique))
+    orbit = conjugation_orbit(g, pair.inner.elements)
+    return tuple(Subgroup(g, elements) for elements in sorted(orbit))
 
 
 @lru_cache(maxsize=512)

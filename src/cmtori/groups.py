@@ -1,13 +1,25 @@
 """Finite groups as dense Cayley tables, hard-capped at order 512.
 
-Elements are the indices 0..order-1.  Groups are immutable, and
-``from_table`` is their only constructor.  It checks that the table is a
+Elements are the indices 0..order-1.  Groups are immutable.  A table
+from outside goes through ``from_table``, which checks that it is a
 Latin square with a two-sided identity, then checks associativity by
 Light's test (Clifford-Preston, *Algebraic Theory of Semigroups* I,
 §1.2): the elements a with (x*a)*y == x*(a*y) for all x, y are closed
 under products, so checking them for a set of elements whose right
 products from the identity reach the whole table proves the table
-associative.  For a group such a set has at most log2(order) elements.
+associative.  For a group such a set has at most log2(order) elements,
+and ``FiniteGroup.generators`` keeps it as S.  The one other constructor
+is ``_subgroup_as_group``, the table of a subgroup restricted from its
+parent's: ``Subgroup`` has already proved the subset closed under
+products, and the restricted product inherits associativity, the
+identity and the inverses, so there is nothing left to check.
+
+Conjugation runs on S, not on all of G.  Every element of G is a product
+of elements of S (in a finite group every inverse is a positive power),
+and conjugation by a product is the composite of the conjugations by its
+factors.  So a set is normal when conjugation by S maps it into itself,
+an element is central when it commutes with S, and a conjugacy orbit is
+the breadth-first walk of conjugation by S (``conjugation_orbit``).
 Subgroups are sorted element tuples, and conjugacy-class representatives
 are chosen as the lexicographically least element list, so every
 enumeration here is deterministic across runs.
@@ -27,6 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -189,15 +202,9 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
     @cached_property
-    def center_transversal(self) -> tuple[int, ...]:
-        """The least element of each coset of the center, in increasing order."""
-        z = center(self).elements
-        reps, seen = [], set()
-        for g in self.elements():
-            if g not in seen:
-                reps.append(g)
-                seen.update(self.table[g][c] for c in z)
-        return tuple(reps)
+    def generators(self) -> tuple[int, ...]:
+        """S: the greedy generators of Light's test, at most log2(order) of them."""
+        return tuple(_greedy_generators(self.table, self.identity, self.elements()))
 
     @cached_property
     def _hash(self) -> int:
@@ -487,10 +494,27 @@ class Subgroup:
 
 @lru_cache(maxsize=4096)
 def _subgroup_as_group(group: FiniteGroup, elements: tuple[int, ...]):
-    local = np.zeros(group.order, dtype=np.int64)
-    local[list(elements)] = np.arange(len(elements))
-    sub = from_table(local[np.array([group.table[a] for a in elements])[:, elements]])
-    return sub, elements
+    """The Cayley table of a subgroup, restricted from the parent's table.
+
+    Local index i stands for ``elements[i]``.  ``Subgroup`` has proved the
+    elements closed under products, so each restricted row is a row of the
+    table.  The restricted product is associative because the parent's is,
+    the parent's identity is a two-sided identity in it, and the parent's
+    inverse of an element lies in the subgroup (a positive power of it) and
+    is its two-sided inverse there.  So the result is a group, with the
+    fields ``from_table`` gives the same local table, and nothing is
+    checked again.
+    """
+    if len(elements) == group.order:        # local and parent indices agree
+        return FiniteGroup(group.table, group.identity, group.inverses), elements
+    if len(elements) == 1:                  # itemgetter of one index returns it bare
+        return FiniteGroup(((0,),), 0, (0,)), elements
+    local = dict(zip(elements, range(len(elements))))   # entries: shared int objects
+    to_local = local.__getitem__
+    pick = itemgetter(*elements)
+    rows = tuple(tuple(map(to_local, pick(group.table[a]))) for a in elements)
+    inverses = tuple(map(to_local, pick(group.inverses)))
+    return FiniteGroup(rows, local[group.identity], inverses), elements
 
 
 def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
@@ -521,8 +545,16 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def is_normal(group: FiniteGroup, s: Subgroup) -> bool:
-    mem = set(s.elements)
-    return all(group.conj(g, x) in mem for g in group.elements() for x in s.elements)
+    """Whether g.s.g^-1 lies in s for every g in S = ``group.generators``.
+
+    That is enough: the g with g.s.g^-1 inside s are closed under
+    products, since gh.s.(gh)^-1 = g(h.s.h^-1)g^-1, and a finite subset of
+    a finite group that is closed under products is a subgroup.  Holding S,
+    it is all of G.
+    """
+    mem = s._members
+    t, inv = group.table, group.inverses
+    return all(t[t[g][x]][inv[g]] in mem for g in group.generators for x in s.elements)
 
 
 def cosets(group: FiniteGroup, s: Subgroup, side: str = "left"):
@@ -552,21 +584,44 @@ def coset_index(group: FiniteGroup, parts) -> list[int]:
     return index
 
 
+def conjugation_orbit(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
+    """The conjugates g.X.g^-1 (g in G) of a set X of elements, each a sorted
+    tuple: the breadth-first walk from X of conjugation by ``group.generators``
+    (see the module docstring)."""
+    t, inv = group.table, group.inverses
+    conjugations = [(t[s], inv[s]) for s in group.generators]
+    start = tuple(sorted(elements))
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for row, s_inv in conjugations:
+                y = tuple(sorted([t[row[a]][s_inv] for a in x]))
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
 def conjugacy_classes(group: FiniteGroup):
     seen = set()
     classes = []
     for g in group.elements():
         if g in seen:
             continue
-        orbit = tuple(sorted({group.conj(x, g) for x in group.elements()}))
+        orbit = tuple(sorted(x for (x,) in conjugation_orbit(group, (g,))))
         seen.update(orbit)
         classes.append(orbit)
     return sorted(classes)
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    t = np.array(group.table)
-    return Subgroup(group, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
+    """The z with z.s == s.z for every s in S, so for every element of G."""
+    t, gens = group.table, group.generators
+    return Subgroup(group, tuple(z for z in group.elements()
+                                 if all(t[z][s] == t[s][z] for s in gens)))
 
 
 def conjugate_subgroup(group: FiniteGroup, s: Subgroup, g: int) -> Subgroup:
@@ -574,25 +629,41 @@ def conjugate_subgroup(group: FiniteGroup, s: Subgroup, g: int) -> Subgroup:
 
 
 def canonical_conjugate(group: FiniteGroup, s: Subgroup) -> Subgroup:
-    """The least conjugate of ``s``.
-
-    Conjugating by a transversal of the center reaches every conjugate,
-    since central elements conjugate trivially.
-    """
-    best = min(tuple(sorted(group.conj(g, x) for x in s.elements))
-               for g in group.center_transversal)
-    return Subgroup(group, best)
+    """The least conjugate of ``s``: the least tuple of its conjugation orbit."""
+    return Subgroup(group, min(conjugation_orbit(group, s.elements)))
 
 
 def dedupe_up_to_conjugacy(group: FiniteGroup, subgroups):
-    reps = {canonical_conjugate(group, s).elements for s in subgroups}
+    """The least conjugate of each subgroup, once each, by order and then
+    elements.  Each orbit is walked once: all its members map to its least."""
+    least = {}
+    for s in subgroups:
+        if s.elements not in least:
+            orbit = conjugation_orbit(group, s.elements)
+            least.update(dict.fromkeys(orbit, min(orbit)))
+    reps = set(least.values())
     return [Subgroup(group, e) for e in sorted(reps, key=lambda e: (len(e), e))]
 
 
 def cyclic_subgroups_up_to_conjugacy(group: FiniteGroup):
-    """One representative per conjugacy class of cyclic subgroups, trivial included."""
-    subs = {closure(group, [g]) for g in group.elements()}
-    return dedupe_up_to_conjugacy(group, [Subgroup(group, e) for e in subs])
+    """One representative per conjugacy class of cyclic subgroups, trivial included.
+
+    Each <g> is built once from the powers of g, and every generator g^k of
+    it (gcd(k, ord g) = 1) is marked seen.
+    """
+    t, e = group.table, group.identity
+    seen, subs = set(), []
+    for g in group.elements():
+        if g not in seen:
+            powers = [e]
+            x = g
+            while x != e:
+                powers.append(x)
+                x = t[x][g]
+            n = len(powers)
+            seen.update(powers[k] for k in range(n) if math.gcd(k, n) == 1)
+            subs.append(Subgroup(group, tuple(sorted(powers))))
+    return dedupe_up_to_conjugacy(group, subs)
 
 
 def normalizer(group: FiniteGroup, s: Subgroup) -> Subgroup:
@@ -665,7 +736,7 @@ class Presentation(NamedTuple):
 @lru_cache(maxsize=256)
 def presentation(group: FiniteGroup) -> Presentation:
     """The Schreier presentation of a group's Cayley table, cached per group."""
-    gens = _greedy_generators(group.table, group.identity, group.elements())
+    gens = group.generators
     n, e = group.order, group.identity
     right = np.array([[row[s] for s in gens] for row in group.table],
                      dtype=np.int64).reshape(n, len(gens))

@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     abelianization,
+    center,
     coset_index,
     cosets,
     is_normal,
@@ -238,7 +239,7 @@ def transfer_surjectivity_check(group: FiniteGroup, sub: Subgroup) -> bool:
         raise ConstructionError("subgroup order is not prime", order=p)
     f = transfer(group, sub)
     surjective = image_of_hom(f).group.order == f.codomain.order
-    central = all(group.conj(g, x) == x for g in group.elements() for x in sub.elements)
+    central = center(group).contains_subgroup(sub)
     if central:
         if surjective != sylow(group, p).is_cyclic():
             raise InternalCheckError(

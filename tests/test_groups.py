@@ -9,6 +9,7 @@ from cmtori.abelian import FinAb
 from cmtori.errors import ConstructionError
 from cmtori.groups import (
     Subgroup,
+    _subgroup_as_group,
     abelianization,
     canonical_conjugate,
     center,
@@ -363,9 +364,33 @@ def reference_closure(group, gens):
     return tuple(sorted(elems))
 
 
+def reference_conjugates(group, elements):
+    return {tuple(sorted(group.conj(g, x) for x in elements)) for g in group.elements()}
+
+
 def reference_canonical_conjugate(group, elements):
-    return min(tuple(sorted(group.conj(g, x) for x in elements))
-               for g in group.elements())
+    return min(reference_conjugates(group, elements))
+
+
+def reference_is_normal(group, elements):
+    mem = set(elements)
+    return all(group.conj(g, x) in mem for g in group.elements() for x in elements)
+
+
+def reference_center(group):
+    t = np.array(group.table)
+    return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+
+
+def reference_classes(group):
+    return sorted({tuple(sorted({group.conj(x, g) for x in group.elements()}))
+                   for g in group.elements()})
+
+
+def reference_local_table(group, elements):
+    local = np.zeros(group.order, dtype=np.int64)
+    local[list(elements)] = np.arange(len(elements))
+    return local[np.array([group.table[a] for a in elements])[:, elements]]
 
 
 def reference_first_triple(table):
@@ -399,10 +424,19 @@ def small_groups():
     return out
 
 
+def assert_subgroup_as_group_matches_from_table(g, elements):
+    restricted, embed = _subgroup_as_group(g, elements)
+    checked = from_table(reference_local_table(g, elements))
+    assert embed == elements
+    assert (restricted.table, restricted.identity, restricted.inverses, restricted.name) == (
+        checked.table, checked.identity, checked.inverses, checked.name)
+
+
 @pytest.mark.parametrize("cap", [False, True], ids=["order<=64", "order512"])
 def test_closure_and_conjugacy_match_references(cap):
     rng = random.Random(20261018)
     bases = [cyclic(512), dihedral(256)] if cap else small_groups()
+    normal_seen = set()
     for base in bases:
         g = from_table(relabelled(base.table, rng))
         assert g.order == base.order
@@ -411,11 +445,29 @@ def test_closure_and_conjugacy_match_references(cap):
             sub = closure(g, [x])
             assert sub == reference_closure(g, [x]), (base, x)
             subs.add(sub)
+        reps = set()
         for sub in subs:
-            assert (canonical_conjugate(g, Subgroup(g, sub)).elements
-                    == reference_canonical_conjugate(g, sub)), (base, sub)
+            conjugates = reference_conjugates(g, sub)
+            reps.add(min(conjugates))
+            s = Subgroup(g, sub)
+            assert canonical_conjugate(g, s).elements == min(conjugates), (base, sub)
+            # normal exactly when sub is its only conjugate
+            assert is_normal(g, s) == (conjugates == {sub}), (base, sub)
+            assert_subgroup_as_group_matches_from_table(g, sub)
+        assert ([s.elements for s in cyclic_subgroups_up_to_conjugacy(g)]
+                == sorted(reps, key=lambda e: (len(e), e))), base
+        assert center(g).elements == reference_center(g), base
+        assert conjugacy_classes(g) == reference_classes(g), base
         gens = rng.sample(range(g.order), min(3, g.order))
         assert closure(g, gens) == reference_closure(g, gens)
+        two_generator = {closure(g, [rng.randrange(g.order) for _ in range(2)])
+                         for _ in range(6)}
+        for sub in sorted(two_generator - subs):
+            normal = reference_is_normal(g, sub)
+            assert is_normal(g, Subgroup(g, sub)) == normal, (base, sub)
+            normal_seen.add(normal)
+            assert_subgroup_as_group_matches_from_table(g, sub)
+    assert normal_seen == {False, True}
 
 
 def reference_subgroup_error(group, elements):

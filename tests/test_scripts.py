@@ -56,3 +56,15 @@ def test_cli_digest_repeats_on_oracle_verify():
     workloads, probes = runs[0].splitlines()
     assert workloads.startswith("workloads commands=28 sha256=")
     assert probes.startswith("probes commands=18 sha256=")
+
+
+def test_tau_cost_with_one_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))      # tau_cost imports oracle_cost
+    tau_cost = _load("tau_cost")
+    (row,) = tau_cost.measure({}, [(["tau", "cyclotomic", "15"], 8)], runs=1)
+    assert row["argv"] == ["tau", "cyclotomic", "15"] and row["runs"] == 1
+    assert row["wall_s"]["q1"] == row["wall_s"]["median"] == row["wall_s"]["q3"] > 0
+    assert set(row["stages"]) == {"cyclic_subgroups", "subgroup_tables", "normality"}
+    assert row["stages"]["cyclic_subgroups"]["calls"] == 1   # one datum
+    assert all(stage["calls"] > 0 and stage["self_s"]["median"] >= 0
+               for stage in row["stages"].values())
