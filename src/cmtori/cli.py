@@ -25,13 +25,19 @@ def _emit(payload):
 
 
 def _load_datum(path):
+    """The datum in a JSON file.  Whatever the parser accepts, the schema
+    walker and ``construct_group`` handle without recursing on its depth."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
         raise DatumError(f"cannot read datum file: {exc}", path=path)
+    except UnicodeDecodeError as exc:
+        raise DatumError(f"datum file is not UTF-8: {exc}", path=path)
     except json.JSONDecodeError as exc:
         raise DatumError(f"malformed JSON: {exc}", path=path)
+    except RecursionError:
+        raise DatumError("malformed JSON: nested too deeply to parse", path=path) from None
     return formats.datum_from_json(payload)
 
 

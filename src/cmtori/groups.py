@@ -1,18 +1,28 @@
 """Finite groups as dense Cayley tables, hard-capped at order 512.
 
 Elements are the indices 0..order-1.  Groups are immutable.  A table
-from outside goes through ``from_table``, which checks that it is a
-Latin square with a two-sided identity, then checks associativity by
-Light's test (Clifford-Preston, *Algebraic Theory of Semigroups* I,
-§1.2): the elements a with (x*a)*y == x*(a*y) for all x, y are closed
-under products, so checking them for a set of elements whose right
-products from the identity reach the whole table proves the table
-associative.  For a group such a set has at most log2(order) elements,
-and ``FiniteGroup.generators`` keeps it as S.  The one other constructor
-is ``_subgroup_as_group``, the table of a subgroup restricted from its
-parent's: ``Subgroup`` has already proved the subset closed under
+is checked once, where it comes in from outside.  Such a table goes
+through ``from_table``, which checks that it is a Latin square with a
+two-sided identity, then checks associativity by Light's test
+(Clifford-Preston, *Algebraic Theory of Semigroups* I, §1.2): the
+elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+products, so checking them for a set of elements whose right products
+from the identity reach the whole table proves the table associative.
+For a group such a set has at most log2(order) elements, and
+``FiniteGroup.generators`` keeps it as S.
+
+A table built here is a group by construction, and goes through
+``_trusted_group``, which checks nothing.  Each builder proves its table
+a group in its docstring: ``cyclic`` (addition mod n), ``dihedral`` and
+``quaternion8`` (their multiplication rules), ``units_mod`` (units of
+the ring Z/n), ``direct_product`` (componentwise products of groups),
+``quotient_group`` (cosets of a subgroup ``is_normal`` has proved
+normal) and ``from_permutation_generators`` (permutations closed under
+composition).  ``_subgroup_as_group`` restricts a parent's table to a
+subgroup: ``Subgroup`` has already proved the subset closed under
 products, and the restricted product inherits associativity, the
-identity and the inverses, so there is nothing left to check.
+identity and the inverses.  A test compares every builder with
+``from_table`` field by field.
 
 Conjugation runs on S, not on all of G.  Every element of G is a product
 of elements of S (in a finite group every inverse is a positive power),
@@ -107,12 +117,19 @@ def _first_nonassociative_triple(t):
             return [int(a), int(b), int(c)]
 
 
-def _analyze_table(table):
-    """Validate a Cayley table; return (rows, identity, inverses).
+def _shared_rows(t):
+    """(rows, ints): the int64 table ``t``, whose entries lie in
+    range(len(t)), as nested tuples of the int objects of the object array
+    ``ints`` of that range.  The entries are shared, so a stored table costs
+    one pointer per entry, and the rows are built one at a time, so no list
+    of the whole table exists at once."""
+    ints = np.array(range(len(t)), dtype=object)
+    return tuple(tuple(ints[row].tolist()) for row in t), ints
 
-    ``rows`` is the table as nested tuples whose entries are shared int
-    objects, so a stored table costs one pointer per entry.
-    """
+
+def _analyze_table(table):
+    """Validate a Cayley table; return (rows, identity, inverses) with
+    ``rows`` as ``_shared_rows`` makes them."""
     n = len(table)
     if n == 0:
         raise ConstructionError("empty table")
@@ -135,14 +152,13 @@ def _analyze_table(table):
     two_sided = (t == ref).all(axis=1) & (t.T == ref).all(axis=1)
     if not two_sided.any():
         raise ConstructionError("no two-sided identity")
-    ints = list(range(n))
-    rows = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in t)
+    rows, ints = _shared_rows(t)
     identity = ints[int(np.argmax(two_sided))]
     # Light's test; an associative Latin square with identity is a group
-    gens = _greedy_generators(rows, identity, ints)
+    gens = _greedy_generators(rows, identity, range(n))
     if gens is None or any(not np.array_equal(t[t[:, a]], t[:, t[a]]) for a in gens):
         raise ConstructionError("associativity fails", triple=_first_nonassociative_triple(t))
-    inverses = tuple(ints[i] for i in np.argmax(t == identity, axis=1).tolist())
+    inverses = tuple(ints[np.argmax(t == identity, axis=1)].tolist())
     return rows, identity, inverses
 
 
@@ -217,20 +233,43 @@ class FiniteGroup:
 
 
 def from_table(table, name: str = "") -> FiniteGroup:
-    """The group of a Cayley table (any nested sequence or 2-d array of ints)."""
+    """The group of a Cayley table from outside (any nested sequence or 2-d
+    array of ints), checked as the module docstring says."""
     return FiniteGroup(*_analyze_table(table), name)
 
 
+def _trusted_group(table, name: str) -> FiniteGroup:
+    """The group of a table that its builder has proved a group; nothing is checked.
+
+    ``table`` is an int64 array or nested tuples; its rows are stored as
+    ``_shared_rows`` makes them.  In a group, 0 e = 0 holds for the
+    identity e alone, and the inverse of a is the b with a b = e.
+    """
+    t = np.asarray(table, dtype=np.int64)
+    rows, ints = _shared_rows(t)
+    identity = ints[int(np.argmax(t[0] == 0))]
+    inverses = tuple(ints[np.argmax(t == identity, axis=1)].tolist())
+    return FiniteGroup(rows, identity, inverses, name)
+
+
 def cyclic(n: int) -> FiniteGroup:
+    """Z/n under addition mod n, which is a group."""
     if n < 1:
         raise ConstructionError("cyclic group needs order >= 1", n=n)
     _check_order(n)
     a = np.arange(n)
-    return from_table((a[:, None] + a) % n, f"C{n}")
+    return _trusted_group((a[:, None] + a) % n, f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections."""
+    """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections.
+
+    Write index i + n e (0 <= i < n, e in {0, 1}) as (i, e).  The table is
+    (i, e)(j, d) = ((-1)^d i + j, e + d), with i mod n and e mod 2.  It is
+    associative: both ways of bracketing (i, e)(j, d)(k, c) give
+    ((-1)^(d+c) i + (-1)^c j + k, e + d + c).  (0, 0) is the identity, and
+    (-(-1)^e i, e) is the inverse of (i, e).  So it is a group.
+    """
     if n < 1:
         raise ConstructionError("dihedral group needs n >= 1", n=n)
     _check_order(2 * n)
@@ -239,11 +278,17 @@ def dihedral(n: int) -> FiniteGroup:
     idx = np.arange(2 * n)
     rot, refl = idx % n, idx >= n
     turn = (rot + np.where(refl, -1, 1) * rot[:, None]) % n
-    return from_table(turn + n * (refl[:, None] ^ refl), f"D{n}")
+    return _trusted_group(turn + n * (refl[:, None] ^ refl), f"D{n}")
 
 
 def quaternion8() -> FiniteGroup:
-    """Quaternion group on [1, -1, i, -i, j, -j, k, -k]."""
+    """Quaternion group on [1, -1, i, -i, j, -j, k, -k].
+
+    The table is Hamilton's product of these units (i^2 = j^2 = k^2 = -1,
+    ij = k = -ji, jk = i = -kj, ki = j = -ik), which is associative.  The
+    eight units are closed under it and hold 1 and the inverse of each
+    (-1 for -1, -x for x = i, j, k).  So they form a group.
+    """
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     sign = {s + n: (s == "-", n) for s in ("", "-") for n in ("1", "i", "j", "k")}
     base = {
@@ -264,11 +309,16 @@ def quaternion8() -> FiniteGroup:
         return names.index(("-" if s else "") + np_)
 
     table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    return from_table(table, "Q8")
+    return _trusted_group(table, "Q8")
 
 
 def units_mod(n: int) -> FiniteGroup:
-    """Multiplicative group of residues prime to n, indexed in increasing residue order."""
+    """Multiplicative group of residues prime to n, indexed in increasing residue order.
+
+    These are the units of the ring Z/n: the product of two units is a
+    unit, multiplication mod n is associative, 1 is the identity, and the
+    inverse of a is the u with a u + n v = 1 (Bezout).  So they form a group.
+    """
     if n < 1:
         raise ConstructionError("modulus must be positive", n=n)
     if n >= 1 << 63:
@@ -281,7 +331,7 @@ def units_mod(n: int) -> FiniteGroup:
     res = np.array(residues)
     index = np.zeros(n, dtype=np.int64)
     index[res % n] = np.arange(len(residues))  # mod n: for n = 1 the residue 1 is 0
-    g = from_table(index[np.outer(res, res) % n], f"units_mod_{n}")
+    g = _trusted_group(index[np.outer(res, res) % n], f"units_mod_{n}")
     object.__setattr__(g, "_residues", tuple(residues))
     return g
 
@@ -312,6 +362,14 @@ class ProductGroup:
 
 
 def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
+    """The product of groups, multiplied componentwise.
+
+    Each factor is a group, so the tuples of their elements form a group
+    under componentwise products: associativity, the identity (the tuple
+    of identities) and the inverses (the tuples of inverses) hold in each
+    component.  The packing is a bijection of those tuples with the
+    indices.  With no factors the product is the trivial group.
+    """
     orders = tuple(g.order for g in factors)
     total = math.prod(orders)
     if total > MAX_ORDER:
@@ -325,7 +383,7 @@ def direct_product(*factors: FiniteGroup, name: str = "") -> ProductGroup:
         part = np.arange(total) // stride % n
         table += stride * np.array(f.table)[part[:, None], part]
     label = name or "x".join(f.name or "?" for f in factors)
-    return ProductGroup(from_table(table, label), orders)
+    return ProductGroup(_trusted_group(table, label), orders)
 
 
 def _perm_from_cycles(cycles, degree, generator):
@@ -354,6 +412,12 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
     is fixed by the whole group, so the closure runs on the moved points
     alone, relabelled in increasing order: that keeps the order of the
     elements and the table, and allocates nothing of size ``degree``.
+
+    The breadth-first walk closes the identity under composition with the
+    generators, so the elements are every product of generators: they are
+    closed under composition, which is associative, and they hold the
+    identity and every inverse (a positive power, the group being
+    finite).  So the table is a group.
     """
     maps = []
     for i, gen in enumerate(generators):
@@ -387,11 +451,11 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
     table = tuple(
         tuple(index[tuple(p[q[i]] for i in points)] for q in ordered)
         for p in ordered)
-    return from_table(table, name or f"perm_deg{degree}")
+    return _trusted_group(table, name or f"perm_deg{degree}")
 
 
-def construct_group(spec) -> FiniteGroup:
-    """Build a group from a family spec dict or an explicit table."""
+def _group_or_factors(spec):
+    """The group of a spec that is not a product, or the factor specs of a product."""
     if isinstance(spec, FiniteGroup):
         return spec
     if not isinstance(spec, dict):
@@ -417,8 +481,30 @@ def construct_group(spec) -> FiniteGroup:
     if family == "units_mod":
         return units_mod(int(spec["n"]))
     if family == "product":
-        return direct_product(*(construct_group(f) for f in spec["factors"])).group
+        return spec["factors"]
     raise ConstructionError("unrecognized group spec", keys=sorted(spec))
+
+
+def construct_group(spec) -> FiniteGroup:
+    """Build a group from a family spec dict or an explicit table.
+
+    Product specs nest as deep as the JSON parser allows, so they are
+    built from an explicit stack, innermost first, and not by recursion.
+    """
+    stack = [([spec], [])]      # (factor specs, the groups built from them so far)
+    while True:
+        specs, built = stack[-1]
+        if len(built) < len(specs):
+            item = _group_or_factors(specs[len(built)])
+            if isinstance(item, FiniteGroup):
+                built.append(item)
+            else:
+                stack.append((item, []))
+            continue
+        stack.pop()
+        if not stack:
+            return built[0]
+        stack[-1][1].append(direct_product(*built).group)
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +794,20 @@ class QuotientGroup:
 
 
 def quotient_group(group: FiniteGroup, n: Subgroup) -> QuotientGroup:
+    """G/N, once ``is_normal`` has proved N normal.
+
+    The cosets of a normal subgroup form a group under (aN)(bN) = abN:
+    the product is well defined, and associativity, the identity N and
+    the inverses a^-1 N come from G.  The table multiplies the least
+    representatives and reads off the coset of the product.
+    """
     if not is_normal(group, n):
         raise ConstructionError("quotient by a non-normal subgroup")
     parts = cosets(group, n, "left")
     proj = coset_index(group, parts)
     reps = tuple(cs[0] for cs in parts)
     table = np.array(proj)[np.array([group.table[r] for r in reps])[:, reps]]
-    return QuotientGroup(from_table(table), tuple(proj), reps)
+    return QuotientGroup(_trusted_group(table, ""), tuple(proj), reps)
 
 
 # ---------------------------------------------------------------------------

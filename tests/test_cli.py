@@ -355,3 +355,56 @@ def test_parser_built_once_with_unchanged_output(capsys, monkeypatch):
         separate.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in together] == [0, 2, 0, 0]
     assert together == separate
+
+
+def test_non_utf8_datum_exit_code(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for command in (["tau", "datum"], ["oracle", "verify"], ["classify"]):
+        code, out = run_cli([*command, str(path)])
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == 3 and error["context"] == {"path": str(path)}
+        assert error["message"].startswith("datum file is not UTF-8: ")
+
+
+def _nested_product(depth, extra_key=False):
+    """A datum whose group is C1 inside ``depth`` one-factor products, as text:
+    json.dumps itself recurses on the depth."""
+    group = ('{"family": "product", "factors": [' * depth + '{"family": "cyclic", "n": 1}'
+             + "]}" * depth)
+    if extra_key:
+        group = group[:-1] + ', "bogus": 1}'
+    return '{"group": ' + group + ', "pairs": []}'
+
+
+def test_deeply_nested_product_exit_code(tmp_path):
+    """Past the JSON parser's depth, which the recursion limit bounds (under
+    500 products deep at the default limit of 1000), the datum exits 3.
+    Below it the schema walker and construct_group never recurse on the
+    depth, so every depth the parser accepts exits 0, or 3 for a schema
+    violation."""
+    path = tmp_path / "deep.json"
+    limit = sys.getrecursionlimit()
+    path.write_text(_nested_product(limit))     # 2 * limit nested containers
+    code, out = run_cli(["tau", "datum", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": 3, "context": {"path": str(path)},
+                                        "message": "malformed JSON: nested too deeply to parse"}
+    path.write_text(_nested_product(250))
+    code, out = run_cli(["tau", "datum", str(path)])
+    assert code == 0
+    assert json.loads(out)["report"]["tau"] == {"num": 1, "den": 1}
+    for extra_key in (False, True):
+        codes = {}
+        for depth in range(250, limit // 2 + 20, 2):
+            path.write_text(_nested_product(depth, extra_key))
+            code, out = run_cli(["tau", "datum", str(path)])
+            message = json.loads(out).get("error", {}).get("message", "")
+            codes[depth] = (code, message.startswith("malformed JSON"))
+        # the parser accepts every depth below some depth and none from it on
+        first_too_deep = min(d for d, (_, too_deep) in codes.items() if too_deep)
+        assert all(too_deep == (d >= first_too_deep) for d, (_, too_deep) in codes.items())
+        assert {code for code, _ in codes.values()} == {3 if extra_key else 0, 3}
+        assert all(code == (3 if extra_key else 0)
+                   for d, (code, _) in codes.items() if d < first_too_deep)

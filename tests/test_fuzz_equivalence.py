@@ -3,7 +3,7 @@
 Any datum whose outer subgroups are normal with cyclic relative
 quotients, and whose decomposition set contains the cyclic floor, must
 give identical H^1, Sha^2, and tau through the transfer fast path and
-the bar-resolution oracle.
+the oracle on the resolution of the Schreier presentation.
 """
 
 from cmtori.cohomology import cohomology, ono_tamagawa, sha_group

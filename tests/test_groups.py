@@ -1,6 +1,10 @@
+import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,7 +322,7 @@ def test_induced_abelian_hom():
 
 
 def test_order_cap():
-    assert cyclic(512).order == 512  # full validation at the cap
+    assert cyclic(512).order == 512
     with pytest.raises(ConstructionError):
         cyclic(513)
     with pytest.raises(ConstructionError):
@@ -362,6 +366,17 @@ def reference_closure(group, gens):
                         nxt.append(c)
         frontier = nxt
     return tuple(sorted(elems))
+
+
+def reference_powers(group, x):
+    """<x> as the sorted list of the powers of x: linear, where the
+    quadratic ``reference_closure`` is too slow at the cap."""
+    powers = [group.identity]
+    y = x
+    while y != group.identity:
+        powers.append(y)
+        y = group.table[y][x]
+    return tuple(sorted(powers))
 
 
 def reference_conjugates(group, elements):
@@ -424,6 +439,47 @@ def small_groups():
     return out
 
 
+def quotient_groups():
+    """Quotients by the center and by the commutator subgroup."""
+    return [quotient_group(g, normal(g)).group
+            for g in (Q8, dihedral(6), direct_product(Q8, cyclic(3)).group, units_mod(15))
+            for normal in (center, commutator_subgroup)]
+
+
+def permutation_groups():
+    return [from_permutation_generators([[[0, 1, 2]], [[0, 1]]], 3, "S3"),
+            from_permutation_generators([[[0, 1, 2]], [[1, 2, 3]]], 4),
+            from_permutation_generators([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, "S5"),
+            from_permutation_generators([], 2)]
+
+
+def cap_groups():
+    """One group of each builder at |G| = 512."""
+    def d4(k):                  # D4 on the points 4k, ..., 4k + 3
+        return [[[4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3]], [[4 * k + 1, 4 * k + 3]]]
+
+    return [cyclic(512), dihedral(256), units_mod(1024),
+            direct_product(Q8, Q8, Q8).group,
+            quotient_group(cyclic(512), trivial_subgroup(cyclic(512))).group,
+            from_permutation_generators([g for k in range(3) for g in d4(k)], 12, "D4^3")]
+
+
+@pytest.mark.parametrize("family", ["small", "quotient", "permutation", "cap"])
+def test_builders_match_from_table(family):
+    """Every builder's table, checked by nothing, gives the fields ``from_table``
+    gives after checking it, with plain int entries."""
+    groups = {"small": small_groups, "quotient": quotient_groups,
+              "permutation": permutation_groups, "cap": cap_groups}[family]()
+    for g in groups:
+        checked = from_table(g.table, g.name)
+        assert (g.table, g.identity, g.inverses, g.name) == (
+            checked.table, checked.identity, checked.inverses, checked.name), g
+        assert {type(x) for row in g.table for x in row} == {int}
+        assert type(g.identity) is int and {type(x) for x in g.inverses} == {int}
+    if family == "cap":
+        assert [g.order for g in groups] == [512] * len(groups)
+
+
 def assert_subgroup_as_group_matches_from_table(g, elements):
     restricted, embed = _subgroup_as_group(g, elements)
     checked = from_table(reference_local_table(g, elements))
@@ -436,6 +492,8 @@ def assert_subgroup_as_group_matches_from_table(g, elements):
 def test_closure_and_conjugacy_match_references(cap):
     rng = random.Random(20261018)
     bases = [cyclic(512), dihedral(256)] if cap else small_groups()
+    # at the cap, the closure of one element is checked against its powers
+    cyclic_reference = reference_powers if cap else (lambda g, x: reference_closure(g, [x]))
     normal_seen = set()
     for base in bases:
         g = from_table(relabelled(base.table, rng))
@@ -443,7 +501,7 @@ def test_closure_and_conjugacy_match_references(cap):
         subs = set()
         for x in g.elements():
             sub = closure(g, [x])
-            assert sub == reference_closure(g, [x]), (base, x)
+            assert sub == cyclic_reference(g, x), (base, x)
             subs.add(sub)
         reps = set()
         for sub in subs:
@@ -671,3 +729,42 @@ def test_coset_index():
         index = coset_index(g, parts)
         assert [index[x] for cs in parts for x in cs] == [
             i for i, cs in enumerate(parts) for _ in cs]
+
+
+TRACED_TAU_CAP = """
+import contextlib, importlib.util, io, json, os, sys
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "src"))
+from cmtori import cli
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, root / "cmbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load("spans").Tracer()
+tracer.install()
+plan = load("inputs").tau_cap(1001)
+os.chdir(sys.argv[2])
+for name, payload in plan["files"].items():
+    Path(name).write_text(json.dumps(payload))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(op["argv"]) for op in plan["ops"]]
+print(json.dumps([codes, tracer.layers()["groups.from_table_calls"]]))
+"""
+
+
+def test_traced_tau_cap_checks_only_input_tables(tmp_path):
+    """A traced tau_cap pass of the benchmark calls ``from_table`` only on
+    the three explicit Q8 tables of its datum files."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", TRACED_TAU_CAP, str(root), str(tmp_path)],
+                          check=True, capture_output=True, text=True)
+    codes, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert calls == 3

@@ -68,3 +68,18 @@ def test_tau_cost_with_one_run(monkeypatch):
     assert row["stages"]["cyclic_subgroups"]["calls"] == 1   # one datum
     assert all(stage["calls"] > 0 and stage["self_s"]["median"] >= 0
                for stage in row["stages"].values())
+
+
+def test_startup_cost_with_one_run(tmp_path):
+    out = tmp_path / "startup.json"
+    subprocess.run([sys.executable, str(SCRIPTS / "startup_cost.py"), "--runs", "1",
+                    "--out", str(out)], check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert record["runs"] == 1
+    imports, commands = record["imports"], record["commands"]
+    assert list(imports)[:3] == ["interpreter", "numpy", "jsonschema"]
+    assert list(imports)[-1] == "cmtori.cli" and len(imports) == 15
+    assert list(commands) == ["tau cyclotomic 12", "oracle verify q8_cm",
+                              "landau search --a-max 100"]
+    for q in [*imports.values(), *commands.values()]:
+        assert q["q1"] == q["median"] == q["q3"] > 0
