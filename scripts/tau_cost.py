@@ -1,7 +1,12 @@
 """Cost of the engine at the |G| = 512 cap, command by command.
 
-For each command of the ``tau_cap`` workload of ``cmbench/inputs.py``
-(seed 1001), a fresh interpreter imports ``cmtori.cli`` and times one
+The commands are those of the ``tau_cap`` workload of ``cmbench/inputs.py``
+(seed 1001), then ``tau datum`` on four abelian CM data of order 512 that
+the script writes from family specs: H = 1 and Ntilde = <iota> over
+(Z/2)^9, C4^4 x C2, C8^3 and C2^5 x C16, with iota the product of the
+involutions of the cyclic factors.  Every cyclic subgroup is a
+decomposition group, so these stress the finite-abelian-group algebra.
+For each command a fresh interpreter imports ``cmtori.cli`` and times one
 call of ``cli.main`` on it (``wall_s``, with the peak resident set of the
 process after it).  A second fresh interpreter runs the same command
 with three stages of the group layer wrapped by the tracer of
@@ -28,7 +33,6 @@ import importlib.util
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -47,6 +51,9 @@ STAGES = {
     "subgroup_tables": "_subgroup_as_group",
     "normality": "is_normal",
 }
+# datum file -> the orders of the cyclic factors of its group
+ABELIAN_CAP = {"c2^9.json": (2,) * 9, "c4^4xc2.json": (4, 4, 4, 4, 2),
+               "c8^3.json": (8, 8, 8), "c2^5xc16.json": (2,) * 5 + (16,)}
 
 
 def _load(path):
@@ -54,6 +61,18 @@ def _load(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def abelian_cm_spec(orders):
+    """The datum H = 1, Ntilde = <iota> over the product of cyclic groups of
+    these orders, iota the product of their involutions (packed last factor
+    fastest, as ``groups.direct_product`` packs)."""
+    iota = 0
+    for n in orders:
+        iota = iota * n + n // 2
+    return {"group": {"family": "product",
+                      "factors": [{"family": "cyclic", "n": n} for n in orders]},
+            "pairs": [{"H": [0], "Ntilde": [0, iota]}], "iota": iota}
 
 
 def _trace_stages():
@@ -71,6 +90,17 @@ def _trace_stages():
     return tracer
 
 
+def _peak_rss_mb():
+    """Peak resident set of this process (VmHWM), in MiB.  Not ru_maxrss:
+    Linux carries that across exec, so a child would report the peak of
+    the process that started it (this script's main process, which loads
+    sympy through ``cmbench/inputs.py``) whenever that is larger."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024
+    raise RuntimeError("VmHWM missing from /proc/self/status")
+
+
 def child(traced, argv):
     """Runs in a fresh interpreter: one CLI command, timed; prints one JSON line."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -84,7 +114,7 @@ def child(traced, argv):
     if code != 0:
         sys.exit(f"{' '.join(argv)} exited {code}")
     out = {"seconds": seconds,
-           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+           "peak_rss_mb": _peak_rss_mb()}
     if tracer is not None:
         out["stages"] = {stage: {"self_s": tracer.self_s.get(stage, 0.0),
                                  "calls": tracer.calls.get(stage, 0)} for stage in STAGES}
@@ -126,8 +156,12 @@ def main(argv=None):
     parser.add_argument("--out", default=str(ROOT / "BENCH_tau.json"))
     args = parser.parse_args(argv)
     spec = _load(ROOT / "cmbench" / "inputs.py").tau_cap(SEED)
+    files = dict(spec["files"])
     commands = [(op["argv"], op["order"]) for op in spec["ops"]]
-    rows = measure(spec["files"], commands, args.runs)
+    for name, orders in ABELIAN_CAP.items():
+        files[name] = abelian_cm_spec(orders)
+        commands.append((["tau", "datum", name], 512))
+    rows = measure(files, commands, args.runs)
     for row in rows:
         stages = " ".join(f"{stage} {row['stages'][stage]['self_s']['median']:.3f} s"
                           for stage in STAGES)
@@ -135,7 +169,7 @@ def main(argv=None):
               f"{row['wall_s']['median']:.3f} s ({stages})")
     record = {
         "what": f"cli.main on each tau_cap command of cmbench/inputs.py (seed {SEED}) "
-                "from a cold start",
+                "and on tau datum for four abelian CM data of order 512, from a cold start",
         "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                     "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__},

@@ -1,12 +1,21 @@
 """Exact arithmetic with finite abelian groups.
 
-Everything is built on Smith normal form over Z with arbitrary-precision
-integers.  Groups are kept in invariant-factor form (d_1 | d_2 | ... | d_k,
-each >= 2, empty tuple = trivial group) and all homomorphisms are integer
-matrices relative to the canonical generators, so results are exactly
-reproducible across runs.  The torsion of a large cokernel, whose
-exponent is known, is found instead by numpy eliminations modulo prime
-powers (``cokernel_torsion``), exact by the same invariant-factor theory.
+All arithmetic is on arbitrary-precision integers.  Groups are kept in
+invariant-factor form (d_1 | d_2 | ... | d_k, each >= 2, empty tuple =
+trivial group) and all homomorphisms are integer matrices relative to the
+canonical generators, so results are exactly reproducible across runs.
+
+A subgroup of A = Z^r / D Z^r is a lattice between D Z^r and Z^r.  Every
+operation on finite abelian groups (subgroups, images, kernels,
+cokernels, direct sums and ``factor_through``) is one triangular basis of
+such a lattice, its Hermite form modulo D (``_echelon``), and one Smith
+form of an r x r matrix for the quotient of two of them (``_quotient``).
+Kernels and ``factor_through`` use the graph lattice of the map.  Smith
+normal form of a whole matrix (``smith_normal_form``) serves the
+unbounded lattices of ``kernel_basis`` and ``solve_matrix``.  The torsion
+of a large cokernel, whose exponent is known, is found by numpy
+eliminations modulo prime powers (``cokernel_torsion``), exact by the
+same invariant-factor theory.
 """
 
 from __future__ import annotations
@@ -54,14 +63,6 @@ def transpose(a: Matrix) -> Matrix:
     if not a:
         return ()
     return tuple(zip(*a))
-
-
-def mat_hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(ra + rb for ra, rb in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -396,12 +397,13 @@ class AbHom:
         return AbHom(inner.domain, self.codomain, m)
 
     @property
+    def columns(self) -> Matrix:
+        """The images of the domain's canonical generators."""
+        return tuple(tuple(row[j] for row in self.matrix) for j in range(self.domain.rank))
+
+    @property
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)
-
-
-def identity_hom(a: FinAb) -> AbHom:
-    return AbHom(a, a, identity(a.rank))
 
 
 def zero_hom(domain: FinAb, codomain: FinAb) -> AbHom:
@@ -415,17 +417,80 @@ def hom_sum(f: AbHom, g: AbHom) -> AbHom:
     return AbHom(f.domain, f.codomain, m)
 
 
-def _relation_lattice(p: Matrix, orders, ncols: int) -> Matrix:
-    """Columns generating {y : p*y = 0 mod orders} for a coord matrix p."""
-    rows = len(orders)
-    if ncols == 0:
-        return ()
-    diag = tuple(tuple(orders[i] if i == j else 0 for j in range(rows)) for i in range(rows))
-    stacked = mat_hstack(p, diag) if rows else zeros(0, ncols + rows)
-    full = kernel_basis(stacked, ncols + rows)
-    if not full or not full[0]:
-        return tuple(tuple() for _ in range(ncols))
-    return tuple(full[i] for i in range(ncols))
+def _echelon(columns, moduli) -> list[list[int]]:
+    """A triangular basis of the lattice L spanned by ``columns`` and the d_i e_i.
+
+    basis[i] is zero before coordinate i and has the pivot basis[i][i] > 0
+    there.  Starting from the basis d_i e_i, each column is folded in by
+    Euclid's algorithm on its leading coordinate i against basis[i], a
+    unimodular change of the pair, after which it leads at i + 1 or later.
+    Every coordinate k is kept reduced mod d_k: d_k e_k lies in the span
+    of basis[k:] (true at the start, and d_k e_k in L has no component on
+    the vectors leading before k), which the fold at coordinate i < k
+    leaves alone.  So the basis never holds more than r vectors, its
+    entries stay below the moduli, and it spans L.
+    """
+    basis = [[d if k == i else 0 for k in range(len(moduli))] for i, d in enumerate(moduli)]
+    for column in columns:
+        v = [x % d for x, d in zip(column, moduli)]
+        for i, b in enumerate(basis):
+            while v[i]:
+                q = b[i] // v[i]
+                b, v = v, [(x - q * y) % d for x, y, d in zip(b, v, moduli)]
+            basis[i] = b
+    return basis
+
+
+def _coefficients(basis, w, count: int):
+    """c with w - sum_i c_i basis[i] zero on the first ``count`` coordinates,
+    for a triangular basis; None if no such c exists."""
+    w = list(w)
+    coeffs = []
+    for i in range(count):
+        q, rem = divmod(w[i], basis[i][i])
+        if rem:
+            return None
+        coeffs.append(q)
+        w = [x - q * y for x, y in zip(w, basis[i])]
+    return coeffs
+
+
+def _quotient(outer, inner):
+    """outer / inner for triangular bases of full lattices inner <= outer in Z^r.
+
+    With C the r x r matrix of the inner basis in outer coordinates and
+    u C v = diag(e) its Smith form, the columns of outer u^-1 form a basis
+    of outer adapted to inner.  Returns the invariant factors (the e_i > 1),
+    their canonical generators (those columns, as vectors of Z^r) and the
+    coordinate rows (the rows of u, which take outer coordinates to
+    canonical coordinates).  Raises if inner is not inside outer.
+    """
+    r = len(outer)
+    coeffs = []
+    for w in inner:
+        c = _coefficients(outer, w, r)
+        if c is None:
+            raise InternalCheckError("inner lattice is not inside the outer one")
+        coeffs.append(c)
+    form = smith_normal_form(transpose(coeffs))
+    keep = [i for i, e in enumerate(form.diagonal) if e > 1]
+    generators = [[sum(outer[j][k] * form.u_inv[j][i] for j in range(r)) for k in range(r)]
+                  for i in keep]
+    return (tuple(form.diagonal[i] for i in keep), generators,
+            tuple(form.u[i] for i in keep))
+
+
+def _graph(f: AbHom) -> list[list[int]]:
+    """Triangular basis of the graph lattice of f, codomain coordinates first.
+
+    The lattice is spanned by the (f e_j, e_j) and the moduli of both
+    groups.  Its vectors leading in the codomain coordinates project onto
+    a basis of im f + D Z^m; the rest are (0, x) with x running over a
+    basis of the kernel lattice {x : f x = 0}.
+    """
+    n = f.domain.rank
+    columns = [col + tuple(int(k == j) for k in range(n)) for j, col in enumerate(f.columns)]
+    return _echelon(columns, f.codomain.factors + f.domain.factors)
 
 
 @dataclass(frozen=True)
@@ -440,83 +505,61 @@ class SubgroupData:
         return self.group.order
 
 
-def subgroup_of(ambient: FinAb, generators) -> SubgroupData:
-    """The subgroup generated by the given elements, in invariant-factor form.
+def _subgroup(ambient: FinAb, lattice) -> SubgroupData:
+    """lattice / D Z^r as a subgroup of the ambient Z^r / D Z^r."""
+    factors, generators, _ = _quotient(lattice, _echelon((), ambient.factors))
+    sub = FinAb(factors)
+    incl = tuple(tuple(g[k] for g in generators) for k in range(ambient.rank))
+    return SubgroupData(sub, AbHom(sub, ambient, incl))
 
-    Zero and repeated generators are dropped first (the first occurrence
-    is kept): they would only add relation columns to the Smith form.
-    """
+
+def subgroup_of(ambient: FinAb, generators) -> SubgroupData:
+    """The subgroup generated by the given elements, in invariant-factor form."""
     gens = list(generators)
     for g in gens:
         if g.group != ambient:
             raise ValueError("generator not in the ambient group")
-    gens = list(dict.fromkeys(g for g in gens if not g.is_zero))
-    m = len(gens)
-    ra = ambient.rank
-    p = tuple(tuple(g.coords[i] for g in gens) for i in range(ra))
-    rel = _relation_lattice(p, ambient.factors, m)
-    if m == 0:
-        return SubgroupData(FinAb(()), zero_hom(FinAb(()), ambient))
-    s = smith_normal_form(rel)
-    diag = s.diagonal
-    if len(diag) < m or any(x == 0 for x in diag):
-        raise InternalCheckError("subgroup relation lattice has deficient rank")
-    keep = [j for j in range(m) if diag[j] > 1]
-    sub = FinAb(tuple(diag[j] for j in keep))
-    # new generators are P * u_inv columns
-    pu = mat_mul(p, s.u_inv)
-    incl = tuple(tuple(pu[i][j] for j in keep) for i in range(ra))
-    return SubgroupData(sub, AbHom(sub, ambient, incl))
+    return _subgroup(ambient, _echelon([g.coords for g in gens], ambient.factors))
 
 
 def cokernel_of_hom(f: AbHom) -> tuple[FinAb, AbHom]:
     """(codomain / image, projection)."""
-    ra = f.codomain.rank
-    diag = tuple(tuple(f.codomain.factors[i] if i == j else 0 for j in range(ra))
-                 for i in range(ra))
-    stacked = mat_hstack(f.matrix, diag)
-    if ra == 0:
-        return FinAb(()), zero_hom(f.codomain, FinAb(()))
-    s = smith_normal_form(stacked)
-    diag_entries = s.diagonal
-    if len(diag_entries) < ra or any(x == 0 for x in diag_entries):
-        raise InternalCheckError("cokernel is not finite")
-    keep = [i for i in range(ra) if diag_entries[i] > 1]
-    quot = FinAb(tuple(diag_entries[i] for i in keep))
-    proj = tuple(tuple(s.u[i][j] for j in range(ra)) for i in keep)
-    return quot, AbHom(f.codomain, quot, proj)
+    image = _echelon(f.columns, f.codomain.factors)
+    factors, _, rows = _quotient(identity(f.codomain.rank), image)
+    quot = FinAb(factors)
+    return quot, AbHom(f.codomain, quot, rows)
 
 
 def kernel_of_hom(f: AbHom) -> SubgroupData:
-    """Kernel as a subgroup of the domain."""
-    rel = _relation_lattice(f.matrix, f.codomain.factors, f.domain.rank)
-    gens = []
-    if rel and rel[0]:
-        cols = len(rel[0])
-        for j in range(cols):
-            gens.append(f.domain.element(tuple(rel[i][j] for i in range(f.domain.rank))))
-    return subgroup_of(f.domain, gens)
+    """Kernel as a subgroup of the domain: the tail of the graph basis."""
+    m = f.codomain.rank
+    return _subgroup(f.domain, [b[m:] for b in _graph(f)[m:]])
 
 
 def image_of_hom(f: AbHom) -> SubgroupData:
-    cols = [f.codomain.element(tuple(f.matrix[i][j] for i in range(f.codomain.rank)))
-            for j in range(f.domain.rank)]
-    return subgroup_of(f.codomain, cols)
+    return _subgroup(f.codomain, _echelon(f.columns, f.codomain.factors))
 
 
 def factor_through(incl: AbHom, f: AbHom) -> AbHom:
-    """g with incl o g = f, for injective ``incl`` whose image contains im f."""
+    """g with incl o g = f, for injective ``incl`` whose image contains im f.
+
+    (y, 0) less a combination of the graph vectors of incl that lead in the
+    codomain coordinates is (0, -s) exactly when y is in im incl + D Z^m,
+    and then (y, s) lies in the graph: incl s = y.
+    """
     if incl.codomain != f.codomain:
         raise ValueError("codomain mismatch")
-    ra = incl.codomain.rank
-    rs = incl.domain.rank
-    diag = tuple(tuple(incl.codomain.factors[i] if i == j else 0 for j in range(ra))
-                 for i in range(ra))
-    stacked = mat_hstack(incl.matrix, diag)
-    sol = solve_matrix(stacked, f.matrix)
-    if sol is None:
-        raise InternalCheckError("image is not contained in the subgroup")
-    g = tuple(sol[i] for i in range(rs))
+    m = incl.codomain.rank
+    graph = _graph(incl)
+    padding = (0,) * incl.domain.rank
+    columns = []
+    for y in f.columns:
+        c = _coefficients(graph, y + padding, m)
+        if c is None:
+            raise InternalCheckError("image is not contained in the subgroup")
+        columns.append([sum(ci * graph[i][m + k] for i, ci in enumerate(c))
+                        for k in range(incl.domain.rank)])
+    g = tuple(tuple(col[k] for col in columns) for k in range(incl.domain.rank))
     return AbHom(f.domain, incl.domain, g)
 
 
@@ -530,32 +573,19 @@ class DirectSum:
 def direct_sum(parts) -> DirectSum:
     """Canonicalized direct sum with injection and projection maps."""
     parts = tuple(parts)
-    all_factors = [d for p in parts for d in p.factors]
-    m = len(all_factors)
-    if m == 0:
-        triv = FinAb(())
-        return DirectSum(triv, tuple(identity_hom(p) if p.rank == 0 else zero_hom(p, triv)
-                                     for p in parts),
-                         tuple(identity_hom(p) if p.rank == 0 else zero_hom(triv, p)
-                               for p in parts))
-    diag = tuple(tuple(all_factors[i] if i == j else 0 for j in range(m)) for i in range(m))
-    s = smith_normal_form(diag)
-    entries = s.diagonal
-    keep = [i for i in range(m) if entries[i] > 1]
-    total = FinAb(tuple(entries[i] for i in keep))
-    offsets = []
-    pos = 0
-    for p in parts:
-        offsets.append(pos)
-        pos += p.rank
+    all_factors = tuple(d for p in parts for d in p.factors)
+    factors, generators, rows = _quotient(identity(len(all_factors)),
+                                          _echelon((), all_factors))
+    total = FinAb(factors)
     injections = []
     projections = []
-    for p, off in zip(parts, offsets):
-        inj = tuple(tuple(s.u[i][off + j] for j in range(p.rank)) for i in keep)
-        injections.append(AbHom(p, total, inj))
-        proj = tuple(tuple(s.u_inv[off + i][keep[j]] for j in range(len(keep)))
-                     for i in range(p.rank))
-        projections.append(AbHom(total, p, proj))
+    off = 0
+    for p in parts:
+        block = range(off, off + p.rank)
+        injections.append(AbHom(p, total, tuple(tuple(row[k] for k in block) for row in rows)))
+        projections.append(AbHom(total, p, tuple(tuple(g[k] for g in generators)
+                                                  for k in block)))
+        off += p.rank
     return DirectSum(total, tuple(injections), tuple(projections))
 
 

@@ -417,7 +417,9 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
     generators, so the elements are every product of generators: they are
     closed under composition, which is associative, and they hold the
     identity and every inverse (a positive power, the group being
-    finite).  So the table is a group.
+    finite).  So the table is a group.  Its rows are built one at a time
+    by a numpy gather of the image arrays, so no |G|^2 x points array is
+    ever held; with no moved point the group is trivial and its table 0.
     """
     maps = []
     for i, gen in enumerate(generators):
@@ -446,11 +448,12 @@ def from_permutation_generators(generators, degree: int, name: str = "") -> Fini
                     elems.add(r)
                     nxt.append(r)
         frontier = nxt
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in points)] for q in ordered)
-        for p in ordered)
+    ordered = np.array(sorted(elems), dtype=np.int64).reshape(len(elems), len(points))
+    index = np.arange(len(ordered))
+    table = np.zeros((len(ordered), len(ordered)), dtype=np.int64)
+    for i, p in enumerate(ordered if support else ()):
+        # the products p.q run over the group, so their sorted order is their index
+        table[i, np.lexsort(p[ordered].T[::-1])] = index
     return _trusted_group(table, name or f"perm_deg{degree}")
 
 

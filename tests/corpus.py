@@ -205,10 +205,18 @@ def admissible_iota(g, pairs):
 
 
 def fuzz_data():
-    """Four seeded data per group of a pool of small groups (ten groups)."""
+    """Four seeded data per group of a pool of small groups (fourteen groups).
+
+    The last four, abelian of ranks 2 to 4, were appended after the first
+    ten, so the data drawn for those are unchanged.
+    """
     pool = [cyclic(4), cyclic(6), units_mod(8), units_mod(12), dihedral(3),
             dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)).group,
-            cyclic(8), direct_product(cyclic(3), cyclic(3)).group]
+            cyclic(8), direct_product(cyclic(3), cyclic(3)).group,
+            direct_product(*[cyclic(2)] * 4).group,
+            direct_product(cyclic(2), cyclic(2), cyclic(4)).group,
+            direct_product(cyclic(4), cyclic(4)).group,
+            direct_product(cyclic(2), cyclic(8)).group]
     rng = random.Random(20260811)
     out = []
     for g in pool:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from cmtori.abelian import (
     AbHom,
     FinAb,
+    _echelon,
+    _quotient,
     cokernel_of_hom,
     cokernel_torsion,
     direct_sum,
@@ -309,3 +312,111 @@ def test_cokernel_torsion_rejects_free_vectors_and_large_divisors():
     # an elementary divisor 16 when the exponent is claimed to be 4
     with pytest.raises(InternalCheckError):
         cokernel_torsion(np.array(((16, 0), (0, 1)), dtype=np.int64), 4)
+
+
+def _random_finab(rng, bound=200):
+    """A random invariant-factor chain of order <= bound (rank 0 to 5)."""
+    factors = []
+    for _ in range(rng.randrange(0, 6)):
+        d = (factors[-1] if factors else 1) * rng.choice((1, 1, 2, 2, 3, 4, 5, 6))
+        if d >= 2 and math.prod(factors) * d <= bound:
+            factors.append(d)
+    return FinAb(tuple(factors))
+
+
+def _random_hom(rng, dom, cod):
+    rows = []
+    for di in cod.factors:
+        step = [di // math.gcd(di, dj) for dj in dom.factors]
+        rows.append(tuple(g * rng.randrange(di // g) for g in step))
+    return AbHom(dom, cod, tuple(rows))
+
+
+def _span(group, gens):
+    """The elements of the subgroup generated by ``gens``, by closure."""
+    found = {group.zero()}
+    frontier = list(found)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x + g
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
+
+def _orders(elements):
+    return sorted(x.order() for x in elements)
+
+
+def _check_subgroup(sub, expected):
+    """The inclusion is injective onto ``expected``, with matching element orders."""
+    image = {sub.inclusion(x) for x in sub.group.elements()}
+    assert image == expected
+    assert sub.group.order == len(expected)
+    assert _orders(sub.group.elements()) == _orders(expected)
+
+
+def test_finite_abelian_algebra_against_enumeration():
+    rng = random.Random(20261020)
+    for _ in range(150):
+        a, b = _random_finab(rng), _random_finab(rng)
+        f = _random_hom(rng, a, b)
+        values = {x: f(x) for x in a.elements()}
+
+        gens = [b.element(tuple(rng.randrange(d) for d in b.factors))
+                for _ in range(rng.randrange(0, 4))]
+        sub = subgroup_of(b, gens)
+        _check_subgroup(sub, _span(b, gens))
+
+        _check_subgroup(kernel_of_hom(f), {x for x, y in values.items() if y.is_zero})
+        image = set(values.values())
+        _check_subgroup(image_of_hom(f), image)
+
+        quot, proj = cokernel_of_hom(f)
+        assert all(proj(y).is_zero for y in image)
+        assert {proj(y) for y in b.elements()} == set(quot.elements())
+        assert quot.order * len(image) == b.order
+        # the order of y + im f is the least k with k y in im f
+        coset_orders = sorted(next(k for k in range(1, b.order + 1) if y.scaled(k) in image)
+                              for y in b.elements())
+        assert coset_orders == sorted(x.order() for x in quot.elements()
+                                      for _ in range(len(image)))
+
+        g = _random_hom(rng, a, sub.group)
+        f_in = sub.inclusion.compose(g)
+        assert sub.inclusion.compose(factor_through(sub.inclusion, f_in)).matrix == f_in.matrix
+        if any(f(x) not in {sub.inclusion(s) for s in sub.group.elements()}
+               for x in a.elements()):
+            with pytest.raises(InternalCheckError, match="image is not contained"):
+                factor_through(sub.inclusion, f)
+
+
+def test_direct_sum_against_enumeration():
+    rng = random.Random(20261021)
+    for _ in range(60):
+        parts = [_random_finab(rng, 14) for _ in range(rng.randrange(0, 4))]
+        ds = direct_sum(parts)
+        assert ds.group.order == math.prod(p.order for p in parts)
+        for i, (inj, p) in enumerate(zip(ds.injections, parts)):
+            for j, q in enumerate(parts):
+                for x in p.elements():
+                    y = ds.projections[j](inj(x))
+                    assert y == (x if i == j else q.zero())
+        product_orders = sorted(math.lcm(*(x.order() for x in xs))
+                                for xs in iter_product(*(list(p.elements()) for p in parts)))
+        assert _orders(ds.group.elements()) == product_orders
+        for z in ds.group.elements():
+            total = ds.group.zero()
+            for inj, proj in zip(ds.injections, ds.projections):
+                total = total + inj(proj(z))
+            assert total == z
+
+
+def test_quotient_rejects_an_inner_lattice_outside_the_outer_one():
+    # 2Z + 4Z = 2Z does not contain Z = Z + 4Z
+    with pytest.raises(InternalCheckError, match="not inside"):
+        _quotient(_echelon([(2,)], (4,)), _echelon([(1,)], (4,)))
+    factors, generators, rows = _quotient(_echelon([(1,)], (4,)), _echelon([(2,)], (4,)))
+    assert factors == (2,) and len(generators) == len(rows) == 1

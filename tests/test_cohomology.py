@@ -530,11 +530,18 @@ def _ono_datum():
 
 
 def _data_under_test():
-    """(label, datum) over the corpus and the fuzz data."""
+    """(label, datum) over the corpus and the fuzz data of the first ten groups
+    of the fuzz pool.
+
+    The references here are pure Python on the bar resolution; on the
+    abelian groups of order 16 appended to the pool later, with lattices of
+    rank up to 15, they would take over a minute.  The engine = oracle test
+    covers those data.
+    """
     from corpus import fuzz_data
 
     data = [(name, datum) for name, datum, _ in cm_corpus()]
-    return data + [(f"fuzz{i}", datum) for i, datum in enumerate(fuzz_data())]
+    return data + [(f"fuzz{i}", datum) for i, datum in enumerate(fuzz_data()[:40])]
 
 
 def _lattices_under_test():

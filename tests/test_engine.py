@@ -19,12 +19,14 @@ from corpus import (
     two_distinct_imag_quadratics,
     z4xz4_product,
 )
+from cmtori import engine
 from cmtori.constructors import q8_landau
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import (
     NK_AT_MOST_TWO,
     NK_ONE,
     NK_UNKNOWN,
+    PrimitivePart,
     density_bound,
     h1_from_cm_types,
     h1_norm_one,
@@ -36,7 +38,8 @@ from cmtori.engine import (
     sha2,
     tamagawa,
 )
-from cmtori.errors import DatumError, FastPathUnavailableError
+from cmtori.errors import DatumError, FastPathUnavailableError, InternalCheckError
+from cmtori.formats import datum_from_json
 from cmtori.groups import (
     Subgroup,
     _greedy_generators,
@@ -310,3 +313,41 @@ def test_product_tamagawa_rejects_noncyclic_decomposition_group():
 def test_report_n_k():
     assert tamagawa(imag_quadratic()).n_k == 2
     assert tamagawa(noncm_coprime_product()).n_k is None
+
+
+def _abelian_cm_spec(orders):
+    """A family spec for the CM datum H = 1, Ntilde = <iota> over the product
+    of the cyclic groups of these orders, iota the product of their
+    involutions (packed last factor fastest)."""
+    iota = 0
+    for n in orders:
+        iota = iota * n + n // 2
+    return {"group": {"family": "product",
+                      "factors": [{"family": "cyclic", "n": n} for n in orders]},
+            "pairs": [{"H": [0], "Ntilde": [0, iota]}], "iota": iota}
+
+
+@pytest.mark.parametrize("orders", [(2,) * 9, (4, 4, 4, 4, 2), (8, 8, 8), (2,) * 5 + (16,)],
+                         ids=["C2^9", "C4^4xC2", "C8^3", "C2^5xC16"])
+def test_cap_abelian_reports_are_pinned(orders):
+    # values from the Smith-form algebra this engine replaced; every
+    # cyclic subgroup is a decomposition group, so W = K = G^ab
+    datum = datum_from_json(_abelian_cm_spec(orders))
+    assert datum.group.order == 512
+    report = tamagawa(datum)
+    prim = primitive_part(datum)
+    g_ab = tuple(sorted(orders))
+    assert (report.h1_torus.factors, report.h1_norm_one.factors) == ((2,), (2,))
+    assert (report.primitive_order, report.sha2.factors, report.tau) == (1, (), 2)
+    assert (report.n_k, report.exact) == (1, False)
+    assert prim.constraint.group.factors == prim.kernel.group.factors == g_ab
+
+
+def test_sha2_keeps_its_exactness_check(monkeypatch):
+    # q8_cm has Sha^2 = (Z/2)^2, so W is strictly inside K; swapped, the
+    # constraint escapes the kernel and sha2 must refuse
+    prim = primitive_part(q8_cm())
+    swapped = PrimitivePart(prim.order, prim.kernel, prim.constraint)
+    monkeypatch.setattr(engine, "primitive_part", lambda datum: swapped)
+    with pytest.raises(InternalCheckError, match="escapes the primitive part"):
+        sha2(q8_cm())
