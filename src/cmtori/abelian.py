@@ -10,7 +10,11 @@ operation on finite abelian groups (subgroups, images, kernels,
 cokernels, direct sums and ``factor_through``) is one triangular basis of
 such a lattice, its Hermite form modulo D (``_echelon``), and one Smith
 form of an r x r matrix for the quotient of two of them (``_quotient``).
-Kernels and ``factor_through`` use the graph lattice of the map.  Smith
+Kernels and cokernels are taken of a family of maps f_i : X -> B_i out
+of one domain, on the lattice of x -> (f_i x)_i over the concatenated
+moduli of the B_i (``_joint``): the B_i are never summed into one
+canonical group first.  Kernels and ``factor_through`` use the graph
+lattice of that map (``_graph``), cokernels its image.  Smith
 normal form of a whole matrix (``smith_normal_form``) serves the
 unbounded lattices of ``kernel_basis`` and ``solve_matrix``.  The torsion
 of a large cokernel, whose exponent is known, is found by numpy
@@ -406,17 +410,6 @@ class AbHom:
         return all(all(x == 0 for x in row) for row in self.matrix)
 
 
-def zero_hom(domain: FinAb, codomain: FinAb) -> AbHom:
-    return AbHom(domain, codomain, zeros(codomain.rank, domain.rank))
-
-
-def hom_sum(f: AbHom, g: AbHom) -> AbHom:
-    if f.domain != g.domain or f.codomain != g.codomain:
-        raise ValueError("hom sum shape mismatch")
-    m = tuple(tuple(x + y for x, y in zip(rf, rg)) for rf, rg in zip(f.matrix, g.matrix))
-    return AbHom(f.domain, f.codomain, m)
-
-
 def _echelon(columns, moduli) -> list[list[int]]:
     """A triangular basis of the lattice L spanned by ``columns`` and the d_i e_i.
 
@@ -480,17 +473,33 @@ def _quotient(outer, inner):
             tuple(form.u[i] for i in keep))
 
 
-def _graph(f: AbHom) -> list[list[int]]:
-    """Triangular basis of the graph lattice of f, codomain coordinates first.
+def _joint(domain: FinAb, homs):
+    """(columns, moduli) of x -> (f_1 x, ..., f_k x): column j is the image
+    of the j-th generator of ``domain`` in the concatenated coordinates of
+    the codomains, and the moduli are their concatenated invariant
+    factors.  ``_echelon`` needs no divisibility chain across the moduli,
+    so the codomains are never summed into one canonical group."""
+    for f in homs:
+        if f.domain != domain:
+            raise ValueError("the maps of a family need one domain")
+    rows = [row for f in homs for row in f.matrix]
+    columns = list(zip(*rows)) if rows else [()] * domain.rank
+    return columns, tuple(d for f in homs for d in f.codomain.factors)
 
-    The lattice is spanned by the (f e_j, e_j) and the moduli of both
-    groups.  Its vectors leading in the codomain coordinates project onto
-    a basis of im f + D Z^m; the rest are (0, x) with x running over a
-    basis of the kernel lattice {x : f x = 0}.
+
+def _graph(domain: FinAb, homs) -> list[list[int]]:
+    """Triangular basis of the graph lattice of x -> (f_1 x, ..., f_k x),
+    codomain coordinates first.
+
+    The lattice is spanned by the (f_1 e_j, ..., f_k e_j, e_j) and the
+    moduli of all the groups.  Its vectors leading in the M codomain
+    coordinates project onto a basis of the joint image plus D Z^M; the
+    rest are (0, x) with x running over a basis of the common kernel
+    lattice {x : f_i x = 0}.
     """
-    n = f.domain.rank
-    columns = [col + tuple(int(k == j) for k in range(n)) for j, col in enumerate(f.columns)]
-    return _echelon(columns, f.codomain.factors + f.domain.factors)
+    columns, moduli = _joint(domain, homs)
+    return _echelon([col + unit for col, unit in zip(columns, identity(domain.rank))],
+                    moduli + domain.factors)
 
 
 @dataclass(frozen=True)
@@ -522,18 +531,33 @@ def subgroup_of(ambient: FinAb, generators) -> SubgroupData:
     return _subgroup(ambient, _echelon([g.coords for g in gens], ambient.factors))
 
 
-def cokernel_of_hom(f: AbHom) -> tuple[FinAb, AbHom]:
-    """(codomain / image, projection)."""
-    image = _echelon(f.columns, f.codomain.factors)
-    factors, _, rows = _quotient(identity(f.codomain.rank), image)
+def cokernel_of_hom(homs) -> tuple[FinAb, tuple[AbHom, ...]]:
+    """Q = (+)_i B_i / {(f_i x)_i} for maps f_i : X -> B_i, with one
+    projection B_i -> Q per map.
+
+    The projections are jointly onto and sum p_i f_i = 0.  With no maps Q
+    is trivial; on zero maps out of the trivial group Q is the sum of the
+    B_i and the p_i are its injections.
+    """
+    homs = tuple(homs)
+    columns, moduli = _joint(homs[0].domain, homs) if homs else ((), ())
+    factors, _, rows = _quotient(identity(len(moduli)), _echelon(columns, moduli))
     quot = FinAb(factors)
-    return quot, AbHom(f.codomain, quot, rows)
+    projections = []
+    off = 0
+    for f in homs:
+        end = off + f.codomain.rank
+        projections.append(AbHom(f.codomain, quot, tuple(row[off:end] for row in rows)))
+        off = end
+    return quot, tuple(projections)
 
 
-def kernel_of_hom(f: AbHom) -> SubgroupData:
-    """Kernel as a subgroup of the domain: the tail of the graph basis."""
-    m = f.codomain.rank
-    return _subgroup(f.domain, [b[m:] for b in _graph(f)[m:]])
+def kernel_of_hom(domain: FinAb, homs) -> SubgroupData:
+    """The common kernel of maps f_i out of ``domain``, as a subgroup of
+    it (all of it for no maps): the tail of the graph basis."""
+    homs = tuple(homs)
+    m = sum(f.codomain.rank for f in homs)
+    return _subgroup(domain, [b[m:] for b in _graph(domain, homs)[m:]])
 
 
 def image_of_hom(f: AbHom) -> SubgroupData:
@@ -550,7 +574,7 @@ def factor_through(incl: AbHom, f: AbHom) -> AbHom:
     if incl.codomain != f.codomain:
         raise ValueError("codomain mismatch")
     m = incl.codomain.rank
-    graph = _graph(incl)
+    graph = _graph(incl.domain, [incl])
     padding = (0,) * incl.domain.rank
     columns = []
     for y in f.columns:
@@ -563,41 +587,10 @@ def factor_through(incl: AbHom, f: AbHom) -> AbHom:
     return AbHom(f.domain, incl.domain, g)
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    group: FinAb
-    injections: tuple[AbHom, ...]
-    projections: tuple[AbHom, ...]
-
-
-def direct_sum(parts) -> DirectSum:
-    """Canonicalized direct sum with injection and projection maps."""
-    parts = tuple(parts)
-    all_factors = tuple(d for p in parts for d in p.factors)
-    factors, generators, rows = _quotient(identity(len(all_factors)),
-                                          _echelon((), all_factors))
-    total = FinAb(factors)
-    injections = []
-    projections = []
-    off = 0
-    for p in parts:
-        block = range(off, off + p.rank)
-        injections.append(AbHom(p, total, tuple(tuple(row[k] for k in block) for row in rows)))
-        projections.append(AbHom(total, p, tuple(tuple(g[k] for g in generators)
-                                                  for k in block)))
-        off += p.rank
-    return DirectSum(total, tuple(injections), tuple(projections))
-
-
-def stack_homs(homs, codomain_sum: DirectSum) -> AbHom:
-    """Combine f_i : X -> A_i into X -> (+) A_i using the sum's injections."""
-    homs = tuple(homs)
-    if not homs:
-        raise ValueError("need at least one hom")
-    out = zero_hom(homs[0].domain, codomain_sum.group)
-    for f, inj in zip(homs, codomain_sum.injections, strict=True):
-        out = hom_sum(out, inj.compose(f))
-    return out
+def direct_sum(parts) -> FinAb:
+    """The direct sum of finite abelian groups, in invariant-factor form."""
+    factors = tuple(d for p in parts for d in p.factors)
+    return FinAb(_quotient(identity(len(factors)), _echelon((), factors))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .abelian import (
     kernel_of_hom,
     smith_normal_form,
     solve_matrix,
-    stack_homs,
 )
 from .datum import NormTorusDatum
 from .errors import BudgetExceededError, InternalCheckError
@@ -242,13 +241,8 @@ def sha_group(lattice: GLattice, q: int, dec_groups,
     coh = cohomology(lattice, q, budget)
     if coh.group.is_trivial:
         return coh.group
-    dec_groups = tuple(dec_groups)
-    if not dec_groups:
-        return coh.group
     homs = [restriction_hom(lattice, q, d, budget)[0] for d in dec_groups]
-    summed = direct_sum([h.codomain for h in homs])
-    stacked = stack_homs(homs, summed)
-    return kernel_of_hom(stacked).group
+    return kernel_of_hom(coh.group, homs).group
 
 
 def _section_and_retraction(incl: np.ndarray, proj: np.ndarray):
@@ -490,7 +484,7 @@ def verify_structure(datum: NormTorusDatum,
             local, _ = pair.inner.as_group()
             inner_ab = group_abelianization(local).group
             a_i = pair.relative_degree - 1
-            parts.extend([FinAb(inner_ab.factors)] * a_i)
+            parts.extend([inner_ab] * a_i)
             quot_orders.append(datum.group.order // pair.inner.order)
             twisted_bound *= _twisted_invariant_order(pair, inner_ab)
         for i in range(len(quot_orders)):
@@ -504,7 +498,7 @@ def verify_structure(datum: NormTorusDatum,
             "d_probe_trivial_connecting", True, h2n1.order == twisted_bound,
             f"|H2(norm-one)| = {h2n1.order}, twisted-invariant bound {twisted_bound}"))
         if coprime:
-            expected = direct_sum(parts).group if parts else FinAb(())
+            expected = direct_sum(parts)
             checks.append(CheckResult(
                 "h2_norm_one_coprime_product", True,
                 h2n1.factors == expected.factors,
@@ -533,23 +527,16 @@ def primitive_part_oracle(datum: NormTorusDatum,
     """Classes of H^2(Z) restricting into the connecting image on every
     decomposition group, computed with no transfer machinery."""
     lats = character_lattices(datum)
-    g = datum.group
-    z_lat = trivial_lattice(g, 1)
+    z_lat = trivial_lattice(datum.group, 1)
     coh_z = cohomology(z_lat, 2, budget)
-    decs = datum.effective_decomposition_set()
-    if not decs:
-        return coh_z.group
     maps = []
-    for dec in decs:
-        res, sub_coh = restriction_hom(z_lat, 2, dec, budget)
-        local, _ = dec.as_group()
+    for dec in datum.effective_decomposition_set():
+        res, _ = restriction_hom(z_lat, 2, dec, budget)
         a_loc = restrict_lattice(z_lat, dec)
         b_loc = restrict_lattice(lats.torus, dec)
         c_loc = restrict_lattice(lats.norm_one, dec)
         delta = connecting_hom((a_loc, b_loc, c_loc), lats.unit_embedding,
                                lats.torus_to_norm_one.matrix, 1, budget)
-        quot, proj = cokernel_of_hom(delta)
+        _, (proj,) = cokernel_of_hom([delta])
         maps.append(proj.compose(res))
-    summed = direct_sum([h.codomain for h in maps])
-    stacked = stack_homs(maps, summed)
-    return kernel_of_hom(stacked).group
+    return kernel_of_hom(coh_z.group, maps).group

@@ -32,7 +32,7 @@ from .groups import (
     trivial_subgroup,
     units_mod,
 )
-from .landau import factorize, is_prime_u64, squarefree_part  # squarefree_part: re-exported
+from .landau import factorize, is_prime_u64
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ normal outer subgroups, the Tamagawa number is
 and H^1, Sha^2 come with it.  The character-side statements are all
 computed on subgroups of G^ab: a finite abelian group has the invariant
 factors of its Pontryagin dual, and an annihilator Ann(X) of a subgroup
-X <= G^ab is dual to G^ab / X.  Write c : G^ab -> (+)_i N_i^ab for the
-combined relative transfer and K = ker c.  A character restricts into
-the image of a dual transfer exactly when it annihilates that transfer's
-kernel, so the primitive part is Ann(W) for the subgroup W of G^ab
-generated by the images of the local transfer kernels over the
+X <= G^ab is dual to G^ab / X.  Write c = (c_i) for the family of
+relative transfers c_i : G^ab -> N_i^ab, coker c for the quotient of
+(+)_i N_i^ab by the image of x -> (c_i x)_i and K = ker c for their
+common kernel; ``abelian`` reads both off the lattice of x -> (c_i x)_i
+over the concatenated invariant factors, without forming the sum.  A character restricts into the image of a dual
+transfer exactly when it annihilates that transfer's kernel, so the
+primitive part is Ann(W) for the subgroup W of G^ab generated by the
+images of the common kernels of the local transfers over the
 decomposition groups.  Then
 
     H^1(torus) = ker(dual c) = Ann(im c)       ~ dual(coker c),
@@ -36,9 +39,7 @@ from .abelian import (
     direct_sum,
     factor_through,
     kernel_of_hom,
-    stack_homs,
     subgroup_of,
-    zero_hom,
 )
 from .datum import NormTorusDatum, TamagawaReport, TorusPair
 from .errors import DatumError, FastPathUnavailableError, InternalCheckError
@@ -71,26 +72,18 @@ def _require_fast_path(datum: NormTorusDatum):
             "an outer subgroup is not normal; use the cohomology oracle")
 
 
-def _stacked(homs, domain: FinAb) -> AbHom:
-    """domain -> (+)_i codomain_i, the zero map into 0 for no maps."""
-    if not homs:
-        return zero_hom(domain, FinAb(()))
-    return stack_homs(homs, direct_sum([h.codomain for h in homs]))
-
-
 @lru_cache(maxsize=512)
-def _combined_transfer(datum: NormTorusDatum) -> AbHom:
-    """The combined relative transfer c : G^ab -> (+)_i N_i^ab."""
-    homs = [relative_transfer(datum.group, pair.outer, pair.inner)
-            for pair in datum.pairs]
-    return _stacked(homs, group_abelianization(datum.group).group)
+def _combined_transfer(datum: NormTorusDatum) -> tuple[AbHom, ...]:
+    """The relative transfers c_i : G^ab -> N_i^ab, one per pair."""
+    return tuple(relative_transfer(datum.group, pair.outer, pair.inner)
+                 for pair in datum.pairs)
 
 
 def h1_norm_one(datum: NormTorusDatum) -> FinAb:
     """H^1 of the norm-one character lattice: the sum of the N_i^ab (their
     duals have the same invariant factors)."""
-    targets = [relative_target(pair.outer, pair.inner) for pair in datum.pairs]
-    return direct_sum([t.group for t in targets]).group
+    return direct_sum([relative_target(pair.outer, pair.inner).group
+                       for pair in datum.pairs])
 
 
 def h1_torus(datum: NormTorusDatum) -> FinAb:
@@ -124,7 +117,7 @@ def _inner_conjugates(g: FiniteGroup, pair: TorusPair) -> tuple[Subgroup, ...]:
     automorphism of D, so it is the identity on D^ab; it fixes
     D meet outer.  The transfer is natural, so the two local transfers
     differ by an isomorphism of their targets and have the same kernel in
-    D^ab.  Neither the stacked kernel nor W moves, and the list depends on
+    D^ab.  Neither the common kernel nor W moves, and the list depends on
     the pair alone, not on D.  On the fast path inner is normal in outer
     and outer in G, so the conjugates by G are the conjugates by coset
     representatives of G/outer: the list is the conjugation orbit of inner.
@@ -148,12 +141,12 @@ def primitive_part(datum: NormTorusDatum) -> PrimitivePart:
             local_outer = dec.localize(intersect(dec, outer))
             homs += [relative_transfer(local, local_outer, dec.localize(intersect(dec, inner)))
                      for inner in inners]
-        ker = kernel_of_hom(_stacked(homs, d_ab.group))
+        ker = kernel_of_hom(d_ab.group, homs)
         local_w = induced_abelian_hom(dec, d_ab, g_ab).compose(ker.inclusion)
         w_gens += [g_ab.group.element(col) for col in zip(*local_w.matrix)]
     w = subgroup_of(g_ab.group, w_gens)
     return PrimitivePart(g_ab.group.order // w.order, w,
-                         kernel_of_hom(_combined_transfer(datum)))
+                         kernel_of_hom(g_ab.group, _combined_transfer(datum)))
 
 
 def sha2(datum: NormTorusDatum) -> FinAb:
@@ -165,7 +158,7 @@ def sha2(datum: NormTorusDatum) -> FinAb:
     except InternalCheckError as exc:
         raise InternalCheckError(
             "dual transfer image escapes the primitive part") from exc
-    return cokernel_of_hom(w_in_k)[0]
+    return cokernel_of_hom([w_in_k])[0]
 
 
 def tamagawa(datum: NormTorusDatum) -> TamagawaReport:
@@ -392,7 +385,7 @@ def _primitive_inclusion(data, combined_datum, prod: ProductGroup) -> bool:
         cols = [f_ab.images[prod.unpack(sec)[i]] for sec in g_ab.sections]
         nat = AbHom(g_ab.group, f_ab.group,
                     tuple(tuple(col[r] for col in cols) for r in range(f_ab.group.rank)))
-        _, mod_wi = cokernel_of_hom(primitive_part(d).constraint.inclusion)
+        _, (mod_wi,) = cokernel_of_hom([primitive_part(d).constraint.inclusion])
         if not mod_wi.compose(nat).compose(w.inclusion).is_zero:
             return False
     return True

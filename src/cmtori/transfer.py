@@ -153,7 +153,7 @@ def relative_target(outer: Subgroup, inner: Subgroup) -> RelativeTarget:
     local_index = outer.local_index()
     gens = [outer_ab.project(local_index[h]) for h in inner.elements]
     image = subgroup_of(outer_ab.group, gens)
-    quot, proj = cokernel_of_hom(image.inclusion)
+    quot, (proj,) = cokernel_of_hom([image.inclusion])
     return RelativeTarget(outer, inner, quot, proj, local_index)
 
 

@@ -14,12 +14,10 @@ from cmtori.abelian import (
     FinAb,
     SubgroupData,
     cokernel_of_hom,
-    direct_sum,
     factor_through,
     kernel_of_hom,
-    stack_homs,
+    mat_mul,
     subgroup_of,
-    zero_hom,
 )
 from cmtori.datum import TorusPair
 from cmtori.engine import _combined_transfer, product_datum
@@ -55,6 +53,21 @@ def dual_hom(f: AbHom) -> AbHom:
     return AbHom(dual_group(f.codomain), dual_group(f.domain), out)
 
 
+def _combined_hom(domain: FinAb, homs) -> AbHom:
+    """x -> (f_i x)_i as one map into the sum of the codomains.
+
+    The cokernel of the zero maps out of the trivial group is that sum,
+    and its projections are the injections; the injection matrices side by
+    side times the f_i matrices stacked give the map.
+    """
+    homs = tuple(homs)
+    total, injections = cokernel_of_hom(
+        [AbHom(FinAb(()), f.codomain, ((),) * f.codomain.rank) for f in homs])
+    inj = tuple(sum((i.matrix[r] for i in injections), ()) for r in range(total.rank))
+    stacked = tuple(row for f in homs for row in f.matrix)
+    return AbHom(domain, total, mat_mul(inj, stacked))
+
+
 def pairing(char: AbElement, el: AbElement):
     """chi(x) in Q/Z returned as a Fraction-free (num, den) with den = exponent."""
     a = el.group
@@ -72,7 +85,8 @@ def annihilator(w: SubgroupData) -> SubgroupData:
 
     Returned as a subgroup of dual_group(A); |Ann(W)| * |W| = |A|.
     """
-    return kernel_of_hom(dual_hom(w.inclusion))
+    f = dual_hom(w.inclusion)
+    return kernel_of_hom(f.domain, [f])
 
 
 def _double_coset_inner_twists(g: FiniteGroup, dec: Subgroup, pair: TorusPair):
@@ -126,12 +140,8 @@ def primitive_characters(datum) -> tuple[SubgroupData, SubgroupData]:
             di_local = dec.localize(intersect(dec, pair.outer))
             for twisted_inner in _double_coset_inner_twists(g, dec, pair):
                 local_pairs.append((di_local, dec.localize(intersect(dec, twisted_inner))))
-        if local_pairs:
-            homs = [relative_transfer(local, o, i) for o, i in local_pairs]
-            combined = stack_homs(homs, direct_sum([h.codomain for h in homs]))
-        else:
-            combined = zero_hom(d_ab.group, FinAb(()))
-        ker = kernel_of_hom(combined)
+        homs = [relative_transfer(local, o, i) for o, i in local_pairs]
+        ker = kernel_of_hom(d_ab.group, homs)
         nat = induced_abelian_hom(dec, d_ab, g_ab)
         w_gens += [nat(ker.inclusion(gen)) for gen in _generators(ker.group)]
     w = subgroup_of(g_ab.group, w_gens)
@@ -146,10 +156,11 @@ def _annihilates(char: AbElement, w: SubgroupData) -> bool:
 
 def character_side_report(datum):
     """(H^1 of the torus, primitive order, Sha^2), as invariant factors and order."""
-    dual = dual_hom(_combined_transfer(datum))
+    g_ab = group_abelianization(datum.group).group
+    dual = dual_hom(_combined_hom(g_ab, _combined_transfer(datum)))
     ann, _ = primitive_characters(datum)
-    sha = cokernel_of_hom(factor_through(ann.inclusion, dual))[0]
-    return kernel_of_hom(dual).group.factors, ann.group.order, sha.factors
+    sha = cokernel_of_hom([factor_through(ann.inclusion, dual)])[0]
+    return kernel_of_hom(dual.domain, [dual]).group.factors, ann.group.order, sha.factors
 
 
 def character_side_inclusion(data, extras=()) -> bool:

@@ -22,7 +22,6 @@ from cmtori.abelian import (
     smith_normal_form,
     solve_matrix,
     subgroup_of,
-    zero_hom,
 )
 from cmtori.errors import InternalCheckError
 
@@ -128,13 +127,13 @@ def test_finab_validation():
 def test_kernel_identity_on_z4_is_trivial():
     z4 = FinAb((4,))
     f = AbHom(z4, z4, ((1,),))
-    assert kernel_of_hom(f).group.is_trivial
+    assert kernel_of_hom(z4, [f]).group.is_trivial
 
 
 def test_kernel_of_doubling_on_z4():
     z4 = FinAb((4,))
     f = AbHom(z4, z4, ((2,),))
-    ker = kernel_of_hom(f)
+    ker = kernel_of_hom(z4, [f])
     assert ker.group.factors == (2,)
     # the kernel is {0, 2}
     gen = ker.inclusion(ker.group.element((1,)))
@@ -143,7 +142,7 @@ def test_kernel_of_doubling_on_z4():
 
 def test_image_of_zero_map_trivial():
     a = FinAb((4, 8))
-    f = zero_hom(a, a)
+    f = AbHom(a, a, ((0, 0), (0, 0)))
     assert image_of_hom(f).group.is_trivial
 
 
@@ -199,14 +198,14 @@ def test_kernel_image_orders_multiply():
                 row.append(g * rng.randrange(0, max(1, di // g)))
             rows.append(tuple(row))
         f = AbHom(dom, cod, tuple(rows))
-        assert kernel_of_hom(f).group.order * image_of_hom(f).group.order == dom.order
+        assert kernel_of_hom(dom, [f]).group.order * image_of_hom(f).group.order == dom.order
 
 
 def test_subgroup_of_and_cokernel():
     a = FinAb((2, 4))
     sub = subgroup_of(a, [a.element((1, 2))])
     assert sub.group.factors == (2,)
-    quot, proj = cokernel_of_hom(sub.inclusion)
+    quot, (proj,) = cokernel_of_hom([sub.inclusion])
     assert quot.order * sub.group.order == a.order
     assert proj(sub.inclusion(sub.group.element((1,)))).is_zero
 
@@ -243,14 +242,18 @@ def test_annihilator_order_product_random():
 
 
 def test_direct_sum_canonicalizes():
-    ds = direct_sum([FinAb((2,)), FinAb((3,))])
-    assert ds.group.factors == (6,)
-    ds2 = direct_sum([FinAb((2,)), FinAb((2,))])
-    assert ds2.group.factors == (2, 2)
-    # projections invert injections
-    for part, inj, proj in zip([FinAb((2,)), FinAb((3,))], ds.injections, ds.projections):
-        for x in part.elements():
-            assert proj(inj(x)) == x
+    assert direct_sum([FinAb((2,)), FinAb((3,))]).factors == (6,)
+    assert direct_sum([FinAb((2,)), FinAb((2,))]).factors == (2, 2)
+    assert direct_sum([]).is_trivial
+    # the cokernel of the zero maps out of the trivial group is the sum, and
+    # its projections are injections, jointly bijective: projections
+    # inverting them exist
+    parts = [FinAb((2,)), FinAb((3,))]
+    total, injections = cokernel_of_hom([AbHom(FinAb(()), p, ((),)) for p in parts])
+    assert total.factors == (6,)
+    sums = [injections[0](x) + injections[1](y)
+            for x in parts[0].elements() for y in parts[1].elements()]
+    assert sorted(z.coords for z in sums) == sorted(z.coords for z in total.elements())
 
 
 def test_factor_through():
@@ -358,6 +361,36 @@ def _check_subgroup(sub, expected):
     assert _orders(sub.group.elements()) == _orders(expected)
 
 
+def _check_family(a, homs):
+    """The common kernel and the cokernel of maps f_i : A -> B_i against
+    enumeration of A and of the product of the B_i."""
+    cods = [f.codomain for f in homs]
+    values = {x: tuple(f(x) for f in homs) for x in a.elements()}
+
+    _check_subgroup(kernel_of_hom(a, homs),
+                    {x for x, ys in values.items() if all(y.is_zero for y in ys)})
+
+    quot, projs = cokernel_of_hom(homs)
+    assert len(projs) == len(homs)
+    assert all(p.domain == b and p.codomain == quot for p, b in zip(projs, cods))
+
+    def project(ys):
+        return sum((p(y) for p, y in zip(projs, ys)), quot.zero())
+
+    image = set(values.values())
+    # sum_i p_i f_i = 0, the p_i are jointly onto, and |Q| |im| = prod |B_i|
+    assert all(project(ys).is_zero for ys in image)
+    generators = [p(y) for p, b in zip(projs, cods) for y in b.elements()]
+    assert _span(quot, generators) == set(quot.elements())
+    assert quot.order * len(image) == math.prod(b.order for b in cods)
+    # the order of y + im is the least k with k y in im
+    sums = list(iter_product(*(list(b.elements()) for b in cods)))
+    for ys in sums:
+        k = next(k for k in range(1, quot.order + 1)
+                 if tuple(y.scaled(k) for y in ys) in image)
+        assert project(ys).order() == k
+
+
 def test_finite_abelian_algebra_against_enumeration():
     rng = random.Random(20261020)
     for _ in range(150):
@@ -370,11 +403,11 @@ def test_finite_abelian_algebra_against_enumeration():
         sub = subgroup_of(b, gens)
         _check_subgroup(sub, _span(b, gens))
 
-        _check_subgroup(kernel_of_hom(f), {x for x, y in values.items() if y.is_zero})
+        _check_subgroup(kernel_of_hom(a, [f]), {x for x, y in values.items() if y.is_zero})
         image = set(values.values())
         _check_subgroup(image_of_hom(f), image)
 
-        quot, proj = cokernel_of_hom(f)
+        quot, (proj,) = cokernel_of_hom([f])
         assert all(proj(y).is_zero for y in image)
         assert {proj(y) for y in b.elements()} == set(quot.elements())
         assert quot.order * len(image) == b.order
@@ -392,26 +425,44 @@ def test_finite_abelian_algebra_against_enumeration():
             with pytest.raises(InternalCheckError, match="image is not contained"):
                 factor_through(sub.inclusion, f)
 
+    # families of 0-3 maps out of one domain, trivial codomains among them
+    for _ in range(60):
+        a = _random_finab(rng, 40)
+        cods = [_random_finab(rng, 12) if rng.random() < 0.8 else FinAb(())
+                for _ in range(rng.randrange(0, 4))]
+        _check_family(a, [_random_hom(rng, a, b) for b in cods])
+
+    # a family needs one domain
+    a, b = FinAb((2, 4)), FinAb((4,))
+    mixed = [AbHom(a, b, ((2, 1),)), AbHom(b, b, ((1,),))]
+    with pytest.raises(ValueError):
+        kernel_of_hom(a, mixed)
+    with pytest.raises(ValueError):
+        kernel_of_hom(b, mixed[:1])
+    with pytest.raises(ValueError):
+        cokernel_of_hom(mixed)
+
 
 def test_direct_sum_against_enumeration():
     rng = random.Random(20261021)
     for _ in range(60):
         parts = [_random_finab(rng, 14) for _ in range(rng.randrange(0, 4))]
         ds = direct_sum(parts)
-        assert ds.group.order == math.prod(p.order for p in parts)
-        for i, (inj, p) in enumerate(zip(ds.injections, parts)):
-            for j, q in enumerate(parts):
-                for x in p.elements():
-                    y = ds.projections[j](inj(x))
-                    assert y == (x if i == j else q.zero())
+        assert ds.order == math.prod(p.order for p in parts)
         product_orders = sorted(math.lcm(*(x.order() for x in xs))
                                 for xs in iter_product(*(list(p.elements()) for p in parts)))
-        assert _orders(ds.group.elements()) == product_orders
-        for z in ds.group.elements():
-            total = ds.group.zero()
-            for inj, proj in zip(ds.injections, ds.projections):
-                total = total + inj(proj(z))
-            assert total == z
+        assert _orders(ds.elements()) == product_orders
+        # the injections are the projections onto the cokernel of the zero
+        # maps out of the trivial group: each one-to-one, together a bijection
+        # from the product onto a group isomorphic to the sum
+        total, injections = cokernel_of_hom([AbHom(FinAb(()), p, ((),) * len(p.factors))
+                                             for p in parts])
+        assert total.factors == ds.factors
+        for inj, p in zip(injections, parts):
+            assert len({inj(x) for x in p.elements()}) == p.order
+        sums = [sum((inj(x) for inj, x in zip(injections, xs)), total.zero())
+                for xs in iter_product(*(list(p.elements()) for p in parts))]
+        assert len(set(sums)) == total.order == ds.order
 
 
 def test_quotient_rejects_an_inner_lattice_outside_the_outer_one():

@@ -11,7 +11,6 @@ from cmtori.constructors import (
     legendre,
     q8_landau,
     split_classifier,
-    squarefree_part,
 )
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import tamagawa
@@ -25,7 +24,7 @@ from cmtori.groups import (
     subgroup_generated,
     units_mod,
 )
-from cmtori.landau import is_prime_u64
+from cmtori.landau import is_prime_u64, squarefree_part
 
 
 def test_legendre_basics():

@@ -20,6 +20,7 @@ from corpus import (
     z4xz4_product,
 )
 from cmtori import engine
+from cmtori.cohomology import ono_tamagawa, primitive_part_oracle, torus_invariants
 from cmtori.constructors import q8_landau
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import (
@@ -39,7 +40,7 @@ from cmtori.engine import (
     tamagawa,
 )
 from cmtori.errors import DatumError, FastPathUnavailableError, InternalCheckError
-from cmtori.formats import datum_from_json
+from cmtori.formats import datum_from_json, report_to_json
 from cmtori.groups import (
     Subgroup,
     _greedy_generators,
@@ -341,6 +342,37 @@ def test_cap_abelian_reports_are_pinned(orders):
     assert (report.primitive_order, report.sha2.factors, report.tau) == (1, (), 2)
     assert (report.n_k, report.exact) == (1, False)
     assert prim.constraint.group.factors == prim.kernel.group.factors == g_ab
+
+
+TRIVIAL_GROUP = {"family": "product", "factors": []}
+DEGENERATE = {
+    # H = Ntilde: the pair's relative transfer goes into the trivial group
+    "H=Ntilde": ({"group": {"family": "cyclic", "n": 4},
+                  "pairs": [{"H": [0, 2], "Ntilde": [0, 2]}]},
+                 ((), (), 1, ())),
+    "trivial group": ({"group": TRIVIAL_GROUP, "pairs": [{"H": [0], "Ntilde": [0]}]},
+                      ((), (), 1, ())),
+    "trivial group, no pairs": ({"group": TRIVIAL_GROUP, "pairs": []}, ((), (), 1, ())),
+    # a trivial relative quotient next to one of order 2
+    "C6 mixed": ({"group": {"family": "cyclic", "n": 6},
+                  "pairs": [{"H": [0, 2, 4], "Ntilde": [0, 2, 4]},
+                            {"H": [0], "Ntilde": [0, 3]}]},
+                 ((), (2,), 2, ())),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_data_agree_with_the_oracle(name):
+    spec, (h1, h1n1, prim, sha) = DEGENERATE[name]
+    datum = datum_from_json(spec)
+    report = tamagawa(datum)
+    assert report_to_json(report) == {
+        "h1_torus": list(h1), "h1_norm_one": list(h1n1), "primitive_order": prim,
+        "sha2": list(sha), "tau": {"num": 1, "den": 1}, "n_K": None, "exact": False}
+    oracle_h1, oracle_sha = torus_invariants(datum)
+    assert (oracle_h1.factors, oracle_sha.factors) == (h1, sha)
+    assert ono_tamagawa(datum) == report.tau
+    assert primitive_part_oracle(datum).order == prim
 
 
 def test_sha2_keeps_its_exactness_check(monkeypatch):

@@ -30,6 +30,26 @@ def test_no_function_level_imports():
     assert found == []
 
 
+def test_every_import_is_used():
+    """Each name a src/cmtori module imports is used in that module: no
+    module imports a name only to re-export it."""
+    unused = []
+    for path in sorted((ROOT / "src" / "cmtori").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_traced_names_resolve():
     spans = _spans()
     for name, (module, attr) in spans.SPANS.items():

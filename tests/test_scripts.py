@@ -83,3 +83,17 @@ def test_startup_cost_with_one_run(tmp_path):
                               "landau search --a-max 100"]
     for q in [*imports.values(), *commands.values()]:
         assert q["q1"] == q["median"] == q["q3"] > 0
+
+
+def test_src_lines_counts_code_and_docstrings():
+    src_lines = _load("src_lines")
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+              'def f():\n    """One line."""\n    return """not a\ndocstring"""\n')
+    assert src_lines.count(source) == (4, 4)
+    assert src_lines.count("y = 2\n") == (1, 0)
+    out = subprocess.run([sys.executable, str(SCRIPTS / "src_lines.py")],
+                         check=True, capture_output=True, text=True).stdout
+    *modules, total = out.splitlines()
+    counts = [[int(field.split("=")[1]) for field in line.split()[1:]] for line in modules]
+    assert "engine.py" in {line.split()[0] for line in modules}
+    assert total == "total code={} docstring={}".format(*map(sum, zip(*counts)))

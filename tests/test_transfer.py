@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cmtori.abelian import image_of_hom, kernel_of_hom
+from cmtori.abelian import image_of_hom
 from cmtori.errors import ConstructionError
 from cmtori.groups import (
     Subgroup,
