@@ -49,8 +49,6 @@ from .groups import (
     Subgroup,
     closure,
     conjugation_orbit,
-    coset_index,
-    cosets,
     direct_product,
     induced_abelian_hom,
     intersect,
@@ -173,77 +171,6 @@ def tamagawa(datum: NormTorusDatum) -> TamagawaReport:
         n_k=prim.order if datum.is_cm else None,
         exact=datum.declared_complete,
     )
-
-
-# ---------------------------------------------------------------------------
-# CM types
-# ---------------------------------------------------------------------------
-
-def _cm_type_parities(datum: NormTorusDatum, chooser=None):
-    """Parity table |Phi_i(g)| mod 2 for a CM type of each pair.
-
-    A CM type picks one inner-subgroup coset above each outer-subgroup
-    coset; the canonical choice takes the coset of the least element.
-    ``chooser(outer_coset_index, options)`` may override the choice.
-    """
-    g = datum.group
-    rows = []
-    for pair in datum.pairs:
-        inner_parts = cosets(g, pair.inner, "left")
-        coset_of = coset_index(g, inner_parts)
-        outer_parts = cosets(g, pair.outer, "left")
-        chosen = set()
-        for oc_index, oc in enumerate(outer_parts):
-            options = sorted({coset_of[x] for x in oc})
-            if len(options) != 2:
-                raise DatumError("CM pair does not split cosets two-to-one")
-            pick = options[0] if chooser is None else chooser(oc_index, options)
-            chosen.add(pick)
-        reps = [inner_parts[idx][0] for idx in sorted(chosen)]
-        parities = []
-        for x in g.elements():
-            moved = sum(1 for r in reps if coset_of[g.mul(x, r)] not in chosen)
-            parities.append(moved % 2)
-        rows.append(parities)
-    return rows
-
-
-def h1_from_cm_types(datum: NormTorusDatum, chooser=None) -> FinAb:
-    """H^1 of the torus lattice from CM-type parity conditions.
-
-    The sign tuples (a_i) with sum of |Phi_i(g)| over {i : a_i = -1} even
-    for every g form an elementary 2-group; it must agree with h1_torus.
-    """
-    if not datum.is_cm:
-        raise DatumError("CM types need a CM datum")
-    rows = _cm_type_parities(datum, chooser)
-    r = len(rows)
-    # kernel dimension of the F2 matrix (columns indexed by pairs)
-    mat = [[rows[i][g] for i in range(r)] for g in datum.group.elements()]
-    rank = 0
-    pivots = []
-    for col in range(r):
-        pivot_row = None
-        for row in range(len(mat)):
-            if row in pivots:
-                continue
-            if mat[row][col]:
-                pivot_row = row
-                break
-        if pivot_row is None:
-            continue
-        pivots.append(pivot_row)
-        rank += 1
-        for row in range(len(mat)):
-            if row != pivot_row and mat[row][col]:
-                for c in range(r):
-                    mat[row][c] ^= mat[pivot_row][c]
-        # clear other columns of the pivot row for stability
-        for c in range(r):
-            if c != col and mat[pivot_row][c]:
-                for row in range(len(mat)):
-                    mat[row][c] ^= mat[row][col]
-    return FinAb((2,) * (r - rank))
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,6 @@ class FiniteGroup:
     def exponent(self) -> int:
         return math.lcm(*(self.element_order(g) for g in self.elements()))
 
-    def cyclic_generator(self) -> int | None:
-        """The least element generating the group, or None if it is not cyclic."""
-        return next((g for g in self.elements() if self.element_order(g) == self.order),
-                    None)
-
     def __repr__(self):
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
@@ -694,27 +689,11 @@ def conjugation_orbit(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
     return orbit
 
 
-def conjugacy_classes(group: FiniteGroup):
-    seen = set()
-    classes = []
-    for g in group.elements():
-        if g in seen:
-            continue
-        orbit = tuple(sorted(x for (x,) in conjugation_orbit(group, (g,))))
-        seen.update(orbit)
-        classes.append(orbit)
-    return sorted(classes)
-
-
 def center(group: FiniteGroup) -> Subgroup:
     """The z with z.s == s.z for every s in S, so for every element of G."""
     t, gens = group.table, group.generators
     return Subgroup(group, tuple(z for z in group.elements()
                                  if all(t[z][s] == t[s][z] for s in gens)))
-
-
-def conjugate_subgroup(group: FiniteGroup, s: Subgroup, g: int) -> Subgroup:
-    return Subgroup(group, tuple(sorted(group.conj(g, x) for x in s.elements)))
 
 
 def canonical_conjugate(group: FiniteGroup, s: Subgroup) -> Subgroup:
@@ -879,14 +858,6 @@ class Abelianization:
         for coeffs in iter_product(*choices):
             if sum(c * x for c, x in zip(coeffs, self.images[g])) % 2:
                 yield coeffs
-
-
-def commutator_subgroup(group: FiniteGroup) -> Subgroup:
-    t = np.array(group.table)
-    inv = np.array(group.inverses)
-    # [a, b] = (a * b) * (a^-1 * b^-1)
-    commutators = t[t, t[inv[:, None], inv]]
-    return subgroup_generated(group, np.flatnonzero(np.bincount(commutators.ravel())).tolist())
 
 
 def abelianization(group: FiniteGroup) -> Abelianization:

@@ -134,11 +134,6 @@ def is_landau_pair(p: int, q: int) -> bool:
     return is_prime_u64(p) and is_prime_u64(q)
 
 
-def p_from_q(q: int) -> int:
-    """The p of a Landau pair is the squarefree part of q - 1."""
-    return squarefree_part(q - 1)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime-power factorization by trial division then Brent's rho walk."""
     if n < 1 or n >= _SIGNED_LIMIT:
@@ -171,14 +166,6 @@ def factorize(n: int) -> dict[int, int]:
             continue
         stack.extend(_brent_rho_split(m))
     return dict(sorted(out.items()))
-
-
-def squarefree_part(n: int) -> int:
-    part = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            part *= p
-    return part
 
 
 def _brent_rho_split(n: int):

@@ -23,7 +23,6 @@ from .groups import (
     coset_index,
     cosets,
     is_normal,
-    quotient_group,
     sylow,
 )
 
@@ -45,20 +44,9 @@ def canonical_section(group: FiniteGroup, sub: Subgroup, side: str = "left"):
     return tuple(cs[0] for cs in parts), coset_index(group, parts)
 
 
-def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
-    """Transfer computed from an explicit section (one representative per coset).
-
-    Exposed for the section-independence property; ``transfer`` fixes the
-    canonical least-element section.
-    """
-    parts = cosets(group, sub, "left")
-    coset_of = coset_index(group, parts)
-    reps = tuple(reps)
-    if len(reps) != len(parts):
-        raise ConstructionError("section has wrong size")
-    for rep, cs in zip(reps, parts):
-        if rep not in cs:
-            raise ConstructionError("section representative outside its coset", rep=rep)
+def _transfer_on(group: FiniteGroup, sub: Subgroup, reps, coset_of) -> AbHom:
+    """The transfer from a section ``reps`` of the left cosets, with
+    ``coset_of`` the position of each element's coset among them."""
     sub_ab, _ = subgroup_abelianization(sub)
     local_index = sub.local_index()
     g_ab = group_abelianization(group)
@@ -77,11 +65,26 @@ def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
     return AbHom(g_ab.group, sub_ab.group, matrix)
 
 
+def transfer_with_section(group: FiniteGroup, sub: Subgroup, reps) -> AbHom:
+    """Transfer computed from an explicit section (one representative per coset).
+
+    Exposed for the section-independence property; ``transfer`` fixes the
+    canonical least-element section.
+    """
+    parts = cosets(group, sub, "left")
+    reps = tuple(reps)
+    if len(reps) != len(parts):
+        raise ConstructionError("section has wrong size")
+    for rep, cs in zip(reps, parts):
+        if rep not in cs:
+            raise ConstructionError("section representative outside its coset", rep=rep)
+    return _transfer_on(group, sub, reps, coset_index(group, parts))
+
+
 @lru_cache(maxsize=4096)
 def transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
     """The transfer G^ab -> H^ab with the canonical least-element section."""
-    reps, _ = canonical_section(group, sub)
-    return transfer_with_section(group, sub, reps)
+    return _transfer_on(group, sub, *canonical_section(group, sub))
 
 
 def right_transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
@@ -104,25 +107,6 @@ def right_transfer(group: FiniteGroup, sub: Subgroup) -> AbHom:
         cols.append(total.coords)
     matrix = tuple(tuple(col[i] for col in cols) for i in range(sub_ab.group.rank))
     return AbHom(g_ab.group, sub_ab.group, matrix)
-
-
-def conjugation_norm(group: FiniteGroup, sub: Subgroup) -> AbHom:
-    """The norm of the conjugation action on H^ab, for H normal in G."""
-    if not is_normal(group, sub):
-        raise ConstructionError("conjugation norm needs a normal subgroup")
-    sub_ab, embed = subgroup_abelianization(sub)
-    local_index = sub.local_index()
-    reps, _ = canonical_section(group, sub)
-    cols = []
-    for j in range(sub_ab.group.rank):
-        h = embed[sub_ab.sections[j]]
-        total = None
-        for x in reps:
-            val = sub_ab.project(local_index[group.conj(x, h)])
-            total = val if total is None else total + val
-        cols.append(total.coords)
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(sub_ab.group.rank))
-    return AbHom(sub_ab.group, sub_ab.group, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -162,66 +146,6 @@ def relative_transfer(group: FiniteGroup, outer: Subgroup, inner: Subgroup) -> A
     """Transfer of G into (outer/inner)^ab relative to ``inner``: the
     mod-inner projection composed with the transfer into outer^ab."""
     return relative_target(outer, inner)._proj.compose(transfer(group, outer))
-
-
-@lru_cache(maxsize=1024)
-def cyclic_relative_quotient(outer: Subgroup, inner: Subgroup):
-    """(quotient group N = outer/inner, local->parent map, parent->local index);
-    requires inner normal."""
-    local, embed = outer.as_group()
-    inner_local = outer.localize(inner)
-    if not is_normal(local, inner_local):
-        raise ConstructionError("inner subgroup is not normal in outer")
-    quot = quotient_group(local, inner_local)
-    return quot, embed, outer.local_index()
-
-
-def transfer_cyclic_double_coset(group: FiniteGroup, outer: Subgroup,
-                                 inner: Subgroup, g: int):
-    """Evaluate the relative transfer of g through double cosets <g>\\G/outer.
-
-    Returns (element index in N, quotient N = outer/inner) with N cyclic.
-    For each double-coset representative x the coset orbit size f satisfies
-    g^f x in x.outer, and the class of x^-1 g^f x in N contributes its
-    discrete log with respect to the chosen generator.
-    """
-    quot, embed, local_index = cyclic_relative_quotient(outer, inner)
-    n_group = quot.group
-    n = n_group.order
-    gen = n_group.cyclic_generator()
-    if gen is None:
-        raise ConstructionError("outer/inner quotient is not cyclic", order=n)
-    # discrete logs with respect to the generator
-    dlog = {}
-    x = n_group.identity
-    for k in range(n):
-        dlog[x] = k
-        x = n_group.mul(x, gen)
-    reps, coset_of = canonical_section(group, outer)
-    t = group.table
-    inv = group.inverses
-    seen = set()
-    total = 0
-    for start, rep in enumerate(reps):
-        if start in seen:
-            continue
-        # orbit of this coset under left multiplication by g
-        orbit = []
-        c = start
-        while c not in seen:
-            seen.add(c)
-            orbit.append(c)
-            c = coset_of[t[g][reps[c]]]
-        f = len(orbit)
-        x0 = reps[orbit[0]]
-        gf = group.identity
-        for _ in range(f):
-            gf = t[g][gf]
-        y = t[t[inv[x0]][gf]][x0]
-        if y not in local_index:
-            raise InternalCheckError("double-coset return element left the subgroup")
-        total += dlog[quot.projection[local_index[y]]]
-    return n_group.power(gen, total), quot
 
 
 def transfer_surjectivity_check(group: FiniteGroup, sub: Subgroup) -> bool:

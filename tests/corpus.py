@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+from references import is_cyclic_relative_quotient
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.groups import (
     Subgroup,
@@ -18,7 +19,6 @@ from cmtori.groups import (
     trivial_subgroup,
     units_mod,
 )
-from cmtori.transfer import cyclic_relative_quotient
 
 
 def imag_quadratic():
@@ -181,16 +181,9 @@ def candidate_pairs(g, subgroups):
         if not is_normal(g, outer):
             continue
         for inner in subgroups:
-            if not outer.contains_subgroup(inner) or inner.order == outer.order:
-                continue
-            local, _ = outer.as_group()
-            if not is_normal(local, outer.localize(inner)):
-                continue
-            quot, _, _ = cyclic_relative_quotient(outer, inner)
-            n = quot.group
-            if not any(n.element_order(x) == n.order for x in n.elements()):
-                continue
-            out.append(TorusPair(inner, outer))
+            if (outer.contains_subgroup(inner) and inner.order < outer.order
+                    and is_cyclic_relative_quotient(outer, inner)):
+                out.append(TorusPair(inner, outer))
     return out
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from references import squarefree_part
 from cmtori.constructors import (
     abelian_classifier,
     cyclotomic,
@@ -24,7 +25,7 @@ from cmtori.groups import (
     subgroup_generated,
     units_mod,
 )
-from cmtori.landau import is_prime_u64, squarefree_part
+from cmtori.landau import is_prime_u64
 
 
 def test_legendre_basics():

@@ -19,6 +19,7 @@ from corpus import (
     two_distinct_imag_quadratics,
     z4xz4_product,
 )
+from references import h1_from_cm_types, is_cyclic_relative_quotient
 from cmtori import engine
 from cmtori.cohomology import ono_tamagawa, primitive_part_oracle, torus_invariants
 from cmtori.constructors import q8_landau
@@ -29,7 +30,6 @@ from cmtori.engine import (
     NK_UNKNOWN,
     PrimitivePart,
     density_bound,
-    h1_from_cm_types,
     h1_norm_one,
     h1_torus,
     imaginary_quadratic_count,
@@ -45,7 +45,6 @@ from cmtori.groups import (
     Subgroup,
     _greedy_generators,
     center,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     direct_product,
@@ -167,7 +166,8 @@ def test_conjugate_decomposition_groups_are_deduplicated():
     datum = next(d for n, d, e in cm_corpus() if n == "d4_cm")
     g = datum.group
     s = subgroup_generated(g, [4])
-    conjs = tuple(conjugate_subgroup(g, s, x) for x in g.elements())
+    conjs = tuple(Subgroup(g, tuple(sorted(g.conj(x, y) for y in s.elements)))
+                  for x in g.elements())
     noisy = NormTorusDatum(g, datum.pairs, iota=datum.iota,
                            decomposition_groups=conjs + (s,))
     assert primitive_part(noisy).order == primitive_part(datum).order
@@ -190,6 +190,27 @@ def test_fast_path_refuses_noncyclic_relative_quotient():
     # outer/inner = Q8 is not cyclic
     with pytest.raises(FastPathUnavailableError):
         primitive_part(datum)
+
+
+def test_cyclic_relative_quotients_match_quotient_tables():
+    """The fast-path flag, read off the relative target, agrees with the
+    Cayley table of outer/inner on every (outer, inner) pair of some small
+    groups, and on the corpus and the fuzz data."""
+    groups = [dihedral(4), quaternion8(), direct_product(quaternion8(), cyclic(2)).group,
+              from_permutation_generators([[[0, 1, 2, 3]], [[0, 1]]], 4, "S4"),
+              from_permutation_generators([[[0, 1, 2]], [[1, 2, 3]]], 4, "A4")]
+    data = [d for _, d, _ in cm_corpus()] + fuzz_data()
+    for g in groups:
+        subgroups = all_subgroups(g)
+        data += [NormTorusDatum(g, (TorusPair(inner, outer),))
+                 for outer in subgroups for inner in subgroups
+                 if outer.contains_subgroup(inner)]
+    verdicts = []
+    for datum in data:
+        expected = all(is_cyclic_relative_quotient(p.outer, p.inner) for p in datum.pairs)
+        assert datum.cyclic_relative_quotients() == expected
+        verdicts.append(expected)
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_h1_cm_types_matches_transfer_h1():

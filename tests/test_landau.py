@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from references import p_from_q
 from cmtori import landau
 from cmtori.errors import DatumError, SearchRangeError
 from cmtori.landau import (
@@ -11,7 +12,6 @@ from cmtori.landau import (
     factorize,
     is_landau_pair,
     is_prime_u64,
-    p_from_q,
     search,
 )
 

@@ -1,6 +1,6 @@
 """Module layout: every import at module top, every module-level name used
-somewhere, and every name the benchmark's tracer binds (``cmbench/spans.py``)
-still present."""
+by the program or the acceptance tests, and every name the benchmark's
+tracer binds (``cmbench/spans.py``) still present."""
 
 import ast
 import importlib
@@ -60,35 +60,45 @@ def test_traced_names_resolve():
             assert hasattr(fn, "cache_info"), (metric, module, attr)
 
 
-def _used_names():
+# Library features no program path reaches, kept for callers of the package.
+LIBRARY = {"certify_family", "split_classifier", "datum_to_json"}
+
+
+def _program_names():
     """Name -> [(file, line)] of every identifier, attribute, imported name and
-    string constant in the Python files of src/, tests/, scripts/ and cmbench/."""
+    string constant in the Python files of src/, scripts/ and cmbench/ and in
+    tests/test_acceptance.py: the program, its tools and the acceptance tests,
+    not the other tests."""
+    paths = [path for folder in ("src", "scripts", "cmbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
     used = defaultdict(list)
-    for folder in ("src", "tests", "scripts", "cmbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    name = node.value
-                else:
-                    continue
-                used[name].append((path, node.lineno))
+    for path in paths + [ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            used[name].append((path, node.lineno))
     return used
 
 
 def test_every_module_level_definition_is_used():
-    """Each module-level def or class in src/cmtori is named somewhere outside
-    its own definition."""
-    used = _used_names()
+    """Each module-level def or class in src/cmtori is named outside its own
+    definition by the program, its scripts, the benchmark or the acceptance
+    tests, or is one of the ``LIBRARY`` features.  A function only the other
+    tests call belongs in a test module such as ``tests/references.py``."""
+    used = _program_names()
     unused = []
     for path in sorted((ROOT / "src" / "cmtori").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in LIBRARY):
                 own = range(node.lineno, node.end_lineno + 1)
                 if all(p == path and line in own for p, line in used[node.name]):
                     unused.append(f"{path.name}:{node.name}")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from references import conjugation_norm, cyclic_relative_quotient, transfer_cyclic_double_coset
 from cmtori.abelian import image_of_hom
 from cmtori.errors import ConstructionError
 from cmtori.groups import (
@@ -18,15 +19,12 @@ from cmtori.groups import (
 )
 from cmtori.transfer import (
     canonical_section,
-    conjugation_norm,
-    cyclic_relative_quotient,
     group_abelianization,
     relative_target,
     relative_transfer,
     right_transfer,
     subgroup_abelianization,
     transfer,
-    transfer_cyclic_double_coset,
     transfer_surjectivity_check,
     transfer_with_section,
 )
@@ -136,8 +134,6 @@ def test_product_formula():
             h2ab, _ = subgroup_abelianization(h2)
             _, embed1 = h1.as_group()
             _, embed2 = h2.as_group()
-            local1 = {p: i for i, p in enumerate(embed1)}
-            local2 = {p: i for i, p in enumerate(embed2)}
             idx2 = g2.order // h2.order
             idx1 = g1.order // h1.order
             for a in g1.elements():
@@ -147,23 +143,12 @@ def test_product_formula():
                     v1 = f1(g1ab.project(a)).scaled(idx2)
                     v2 = f2(g2ab.project(b)).scaled(idx1)
                     # embed the factor values into H^ab and compare
-                    e1 = hab.project(local[prod.pack((embed1[_lift(v1, h1ab, local1)], g2.identity))]) if False else None
-                    # compare through evaluation instead: push left back is awkward;
-                    # use coordinates via the product packing of section elements
                     lhs = left
                     rhs = _embed_value(prod, hab, local, v1, h1ab, embed1, g1.identity,
                                        g2.identity, 0) + \
                         _embed_value(prod, hab, local, v2, h2ab, embed2, g1.identity,
                                      g2.identity, 1)
                     assert lhs == rhs
-
-
-def _lift(value, ab, local_index):
-    """Parent element realizing an abelianization value (search)."""
-    for parent, loc in local_index.items():
-        if ab.project(loc) == value:
-            return parent
-    raise AssertionError("value not realized")
 
 
 def _embed_value(prod, hab, local, value, fab, fembed, e1, e2, slot):

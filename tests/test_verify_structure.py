@@ -11,6 +11,7 @@ from corpus import (
     z4xz2_product,
     z4xz4_product,
 )
+from references import cyclic_generator, cyclic_relative_quotient
 from cmtori.cohomology import (
     CohomologyBudget,
     _is_product_structured,
@@ -26,7 +27,7 @@ from cmtori.engine import imaginary_quadratic_count
 from cmtori.errors import InternalCheckError
 from cmtori.groups import Subgroup, full_subgroup
 from cmtori.lattice import character_lattices
-from cmtori.transfer import cyclic_relative_quotient, group_abelianization
+from cmtori.transfer import group_abelianization
 
 
 def check_map(report):
@@ -125,9 +126,7 @@ def _reference_twisted_order(pair, inner_ab):
         pair.outer.localize(pair.inner), full_subgroup(local)),))
     block = character_lattices(single).norm_one
     quot, _, _ = cyclic_relative_quotient(pair.outer, pair.inner)
-    n = quot.group
-    gen = next(q for q in n.elements() if n.element_order(q) == n.order)
-    rho = block.action[quot.representatives[gen]].tolist()
+    rho = block.action[quot.representatives[cyclic_generator(quot.group)]].tolist()
 
     def fixed(xs):
         return all(sum((x.scaled(c) for x, c in zip(xs, row)), inner_ab.zero()) == xk
