@@ -7,19 +7,24 @@ of the ``tau_cap``, ``tau_sweep`` and ``oracle_verify`` workloads of
 ``cmbench/inputs.py`` (``--workloads`` picks fewer), each workload in a
 directory of its own that holds its datum files.  Then it runs the
 probes: data whose permutation generators have a malformed shape, through
-``tau datum``, ``oracle verify`` and ``classify``.  It prints one line
-per group, with the number of commands and a SHA-256 of their
-(argv, exit code, standard output) triples:
+``tau datum``, ``oracle verify`` and ``classify``.  Last it runs
+``landau search`` at a <= 1e5, b <= 100 (the ``landau_search`` workload)
+and at a <= 2000, b <= 300 (three windows of 64 even b), whatever the
+seeds.  It prints one line per group, with the number of commands and a
+SHA-256 of their (argv, exit code, standard output) triples:
 
     workloads commands=<n> sha256=<hex>
     probes commands=18 sha256=<hex>
+    landau commands=2 sha256=<hex>
 
-Equal digests mean byte-identical output and exit codes.  A command that
-raises is recorded with the name of its exception in place of an exit
-code.  The ``oracle_verify`` step that calls the library directly (Ono's
-example) is not a CLI command and is skipped, and ``landau_search`` is
-left out: its output reports its own run time.  Run it from the root of a
-checkout; it imports ``src/`` and reads ``cmbench/`` without changing it.
+For ``landau search`` the standard output is the JSON with its
+``elapsed_ms`` removed (the search reports its own run time), followed by
+the bytes of the CSV it wrote.  Equal digests mean byte-identical output
+and exit codes.  A command that raises is recorded with the name of its
+exception in place of an exit code.  The ``oracle_verify`` step that
+calls the library directly (Ono's example) is not a CLI command and is
+skipped.  Run it from the root of a checkout; it imports ``src/`` and
+reads ``cmbench/`` without changing it.
 """
 
 import argparse
@@ -45,6 +50,7 @@ _spec.loader.exec_module(inputs)
 WORKLOADS = ("tau_cap", "tau_sweep", "oracle_verify")
 PROBE_GENERATORS = ([5], ["abc"], [{"a": 1}], [None], [[[0, 1], 2]], [[0, [1, 2]]])
 PROBE_COMMANDS = (["tau", "datum"], ["oracle", "verify"], ["classify"])
+LANDAU_SIZES = ((10 ** 5, 100), (2000, 300))
 
 
 def workload_plans(workloads, seeds):
@@ -64,6 +70,12 @@ def probe_plans():
     return [(files, [command + [name] for name in files for command in PROBE_COMMANDS])]
 
 
+def landau_plans():
+    argvs = [["landau", "search", "--a-max", str(a_max), "--b-max", str(b_max),
+              "--out", f"pairs_{a_max}_{b_max}.csv"] for a_max, b_max in LANDAU_SIZES]
+    return [({}, argvs)]
+
+
 def _run(argv):
     """(exit code or exception name, standard output) of one command."""
     buf = io.StringIO()
@@ -77,7 +89,18 @@ def _run(argv):
     return code, buf.getvalue()
 
 
-def digest(plans):
+def _run_landau(argv):
+    """``_run``, with the search's run time dropped from its JSON and the
+    CSV it wrote appended."""
+    code, out = _run(argv)
+    if code == 0:
+        payload = json.loads(out)
+        del payload["elapsed_ms"]
+        out = json.dumps(payload) + Path(payload["out"]).read_text()
+    return code, out
+
+
+def digest(plans, run):
     """(command count, SHA-256 hex digest) over every command of the plans."""
     sha = hashlib.sha256()
     count = 0
@@ -91,7 +114,7 @@ def digest(plans):
             os.chdir(work)
             try:
                 for argv in argvs:
-                    sha.update(json.dumps([argv, *_run(argv)]).encode() + b"\n")
+                    sha.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
                     count += 1
             finally:
                 os.chdir(cwd)
@@ -103,9 +126,10 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[1001])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
-    for label, plans in (("workloads", workload_plans(args.workloads, args.seeds)),
-                         ("probes", probe_plans())):
-        count, hexdigest = digest(plans)
+    for label, plans, run in (("workloads", workload_plans(args.workloads, args.seeds), _run),
+                              ("probes", probe_plans(), _run),
+                              ("landau", landau_plans(), _run_landau)):
+        count, hexdigest = digest(plans, run)
         print(f"{label} commands={count} sha256={hexdigest}", flush=True)
 
 

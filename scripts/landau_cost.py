@@ -1,6 +1,7 @@
 """Cost of the Landau search, stage by stage.
 
-For each size (a <= 1e4 and a <= 1e5 by default, b <= 100), a fresh
+For each size (a <= 1e4 and a <= 1e5 by default, each at b <= 100; the
+sizes are every pair of a ``--a-max`` and a ``--b-max``), a fresh
 interpreter runs ``cmtori.landau.search`` on one worker twice: once as
 is (``search_s``), and once with the stages of the scan wrapped by
 timers and counters (``traced_search_s``).  The stages are
@@ -10,7 +11,8 @@ timers and counters (``traced_search_s``).  The stages are
   use); its survivors are the prime p, so ``p_tests`` (``is_prime_u64``
   calls on p) stays 0;
 - ``q_sieve``: the table sieve on q = 1 + p b^2 (``_sieve_q``, which
-  builds the tables on first use);
+  builds the table of a window of 64 even b on first use; ``q_tables``
+  counts the builds);
 - ``certificate``: the batched Fermat and Pocklington tests
   (``_certify_batch``);
 - ``q_fallback``: ``is_prime_u64`` on a q the certificate does not
@@ -21,6 +23,7 @@ and quartiles of every time, and the counts of the first run (they do
 not vary), to ``BENCH_landau.json``:
 
     python scripts/landau_cost.py --runs 5
+    python scripts/landau_cost.py --runs 5 --a-max 100000 --b-max 100 --b-max 1000
 
 Run it from the root of a checkout; it imports ``src/``.
 """
@@ -39,11 +42,10 @@ import numpy
 from oracle_cost import _cpu_model, _quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
-B_MAX = 100
 STAGES = ("p_sieve", "q_sieve", "certificate", "q_fallback")
 
 
-def _traced_search(landau, a_max):
+def _traced_search(landau, a_max, b_max):
     """The search with its stages timed; (seconds, stage seconds, counts).
 
     ``_scan_chunk`` calls ``_sieve_p`` once per block and ``_sieve_q``
@@ -72,9 +74,9 @@ def _traced_search(landau, a_max):
         stage[0] = "q_fallback"
         return out
 
-    def certify(q, p, b2):
+    def certify(*args):
         start = time.perf_counter()
-        out = originals["_certify_batch"](q, p, b2)
+        out = originals["_certify_batch"](*args)
         seconds["certificate"] += time.perf_counter() - start
         counts["certified"] += int((out == 1).sum())
         counts["fermat_rejected"] += int((out == 0).sum())
@@ -95,11 +97,12 @@ def _traced_search(landau, a_max):
         setattr(landau, name, wrapper)
     try:
         start = time.perf_counter()
-        result = landau.search(a_max, B_MAX)
+        result = landau.search(a_max, b_max)
         elapsed = time.perf_counter() - start
     finally:
         for name, original in originals.items():
             setattr(landau, name, original)
+    counts["q_tables"] = landau._q_table.cache_info().misses
     # every sieve survivor is prime; a q reaches the proof stage through
     # _certify_batch or straight to is_prime_u64
     counts["primes_p"] = counts["p_sieve_survivors"]
@@ -109,16 +112,16 @@ def _traced_search(landau, a_max):
     return elapsed, seconds, counts
 
 
-def child(a_max):
+def child(a_max, b_max):
     """Runs in a fresh interpreter: the plain search, then the traced one;
     prints one JSON line."""
     sys.path.insert(0, str(ROOT / "src"))
     from cmtori import landau
 
     start = time.perf_counter()
-    pairs = landau.search(a_max, B_MAX).pair_count
+    pairs = landau.search(a_max, b_max).pair_count
     search_s = time.perf_counter() - start
-    traced_s, seconds, counts = _traced_search(landau, a_max)
+    traced_s, seconds, counts = _traced_search(landau, a_max, b_max)
     if counts["pairs"] != pairs:
         raise SystemExit(f"traced search found {counts['pairs']} pairs, not {pairs}")
     print(json.dumps({"search_s": search_s, "traced_search_s": traced_s,
@@ -130,28 +133,31 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--a-max", type=int, action="append",
                         help="repeatable; default 10000 and 100000")
+    parser.add_argument("--b-max", type=int, action="append",
+                        help="repeatable; default 100")
     parser.add_argument("--out", default=str(ROOT / "BENCH_landau.json"))
     args = parser.parse_args(argv)
-    sizes = args.a_max or [10 ** 4, 10 ** 5]
-    samples = {a_max: [] for a_max in sizes}
+    sizes = [(a_max, b_max) for a_max in args.a_max or [10 ** 4, 10 ** 5]
+             for b_max in args.b_max or [100]]
+    samples = {size: [] for size in sizes}
     for _ in range(args.runs):
-        for a_max in sizes:
-            out = subprocess.run([sys.executable, __file__, "--child", str(a_max)],
+        for size in sizes:
+            out = subprocess.run([sys.executable, __file__, "--child", *map(str, size)],
                                  capture_output=True, text=True, check=True)
-            samples[a_max].append(json.loads(out.stdout.splitlines()[-1]))
+            samples[size].append(json.loads(out.stdout.splitlines()[-1]))
     sys.path.insert(0, str(ROOT / "src"))
     from cmtori import landau
 
     rows = []
-    for a_max in sizes:
-        runs = samples[a_max]
+    for a_max, b_max in sizes:
+        runs = samples[a_max, b_max]
         counts = dict(runs[0]["counts"])
-        grid_q = counts["primes_p"] * (B_MAX // 2)
+        grid_q = counts["primes_p"] * (b_max // 2)
         counts.update(p_grid=a_max, q_grid=grid_q,
                       p_survivor_fraction=counts["p_sieve_survivors"] / a_max,
                       q_survivor_fraction=counts["q_sieve_survivors"] / grid_q,
                       is_prime_calls=counts["p_tests"] + counts["q_fallbacks"])
-        row = {"a_max": a_max, "b_max": B_MAX, "runs": len(runs),
+        row = {"a_max": a_max, "b_max": b_max, "runs": len(runs),
                "search_s": _quartiles([r["search_s"] for r in runs]),
                "traced_search_s": _quartiles([r["traced_search_s"] for r in runs]),
                "stages_s": {stage: _quartiles([r["stages"][stage] for r in runs])
@@ -159,11 +165,11 @@ def main(argv=None):
                "counts": counts}
         rows.append(row)
         stages = " ".join(f"{stage} {row['stages_s'][stage]['median']:.3f}" for stage in STAGES)
-        print(f"a<={a_max:<7d} search {row['search_s']['median']:.3f} s | {stages} | "
+        print(f"a<={a_max:<7d} b<={b_max:<5d} search {row['search_s']['median']:.3f} s | {stages} | "
               f"q survivors {counts['q_survivor_fraction']:.1%}, "
               f"is_prime_u64 {counts['is_prime_calls']}, pairs {counts['pairs']}")
     record = {
-        "what": "landau.search(a_max, 100) on one worker from a cold start, stage by stage",
+        "what": "landau.search(a_max, b_max) on one worker from a cold start, stage by stage",
         "sieve_bound": landau._SIEVE_BOUND, "block": landau._BLOCK,
         "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                     "platform": platform.platform(),
@@ -174,7 +180,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        child(int(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--child":
+        child(int(sys.argv[2]), int(sys.argv[3]))
     else:
         main()

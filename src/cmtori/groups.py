@@ -176,9 +176,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverses[g]]
@@ -204,9 +201,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
-    def exponent(self) -> int:
-        return math.lcm(*(self.element_order(g) for g in self.elements()))
 
     def __repr__(self):
         label = self.name or "group"

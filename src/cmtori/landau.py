@@ -21,29 +21,38 @@ It walks a in blocks of ``_BLOCK`` values.
   that a survivor p is prime: a composite p has a prime factor
   l <= sqrt(p) <= the bound, l != p, so some root of l strikes it; and
   a prime p is struck only by l = p, which re-admits it.  The roots are
-  computed once per bound, as c^((l-1)/4) for the least non-residue c.
+  computed once per bound, as c^((l-1)/4) for the least non-residue c,
+  which is prime.
 - q-stage sieve: one table per odd prime l below ``_SIEVE_BOUND``,
   indexed by p mod l, whose bit i is set when l | 1 + p b^2 for the
   i-th even b of a window of 64.  The OR of the tables over all l marks
   the b whose q certainly has a factor l; ``np.unpackbits`` turns the
   rest into (p, b) candidate arrays.  A q below ``_SIEVE_BOUND`` may be a
-  sieving prime itself, so it bypasses the sieve.
+  sieving prime itself, so it bypasses the sieve.  A chunk of a runs the
+  windows in its outer loop and its blocks in the inner one, so each
+  window's table is built once per chunk.
 - q-stage proof: a surviving q with p > b^2 and q >= ``_SIEVE_BOUND`` is
   decided by Pocklington's criterion (Brillhart, Lehmer and Selfridge,
   Math. Comp. 29, 1975), for the bases c = 2, 3, 5, 7 in turn, on the
   whole window at once.  If c^(q-1) != 1 (mod q), q is composite
   (Fermat).  If c^(q-1) = 1 and gcd(c^(b^2) - 1, q) = 1, then q is
-  prime.  Proof: let r be a prime factor of q.  The order of c mod r
-  divides q - 1 = p b^2 but not b^2, and p is prime, so p divides the
-  order, which divides r - 1: every prime factor r of q has
-  r = 1 (mod p), so r > p.  And p > b^2 gives p^2 > p b^2 = q - 1, so
-  p >= sqrt(q).  Hence every prime factor of q exceeds sqrt(q), and q is
-  prime.  A q that no base decides, and every q with p <= b^2 or
-  q < ``_SIEVE_BOUND``, goes to ``is_prime_u64``.
-- Arithmetic: the powers mod q are Montgomery products (Math. Comp. 44,
-  1985) in uint64, with the high word of each 64 x 64 -> 128-bit product
-  built from 32-bit limbs.  This is exact for every odd modulus below
-  2^63, which ``search`` guarantees for q.
+  prime.  Each base raises c^(q-1) on every undecided q first, and
+  c^(b^2) only on the q that pass Fermat (42% of them at a <= 1e5, as
+  most candidates are composite).  Proof: let r be a prime factor of q.
+  The order of c mod r divides q - 1 = p b^2 but not b^2, and p is
+  prime, so p divides the order, which divides r - 1: every prime
+  factor r of q has r = 1 (mod p), so r > p.  And p > b^2 gives
+  p^2 > p b^2 = q - 1, so p >= sqrt(q).  Hence every prime factor of q
+  exceeds sqrt(q), and q is prime.  A q that no base decides, and every
+  q with p <= b^2 or q < ``_SIEVE_BOUND``, goes to ``is_prime_u64``.
+- Arithmetic: every power is c^e for a small integer c, mod an array of
+  odd moduli m below 2^63 (``search`` guarantees this for q), on uint64
+  arrays.  Left to right over the bits of e, each bit costs one
+  Montgomery squaring (Math. Comp. 44, 1985), with the high word of the
+  128-bit square built from 32-bit limbs and the limbs of m computed
+  once per power; where the bit is set, the square is multiplied by c
+  through doublings and additions mod m (one doubling for c = 2), exact
+  because 2m < 2^64.
 """
 
 from __future__ import annotations
@@ -68,8 +77,10 @@ _SIGNED_LIMIT = 1 << 63
 
 # the odd primes below this bound sieve q (see the module docstring)
 _SIEVE_BOUND = 1024
-# values of a per block, so a block's numpy arrays stay a few tens of KiB
-_BLOCK = 4096
+# values of a per block: of 4096 to 32768, 8192 and 16384 ran
+# search(10**5, 100) fastest, within 5% of each other (7 to 9 cold runs
+# each); the smaller keeps a block's numpy arrays near 100 KiB
+_BLOCK = 8192
 _CERTIFY_BASES = (2, 3, 5, 7)
 
 
@@ -231,8 +242,9 @@ def _sieve_primes():
 
 
 # a table takes 8 bytes a row over the sum of the sieving primes (626 KiB
-# at 1024); four cover b <= 512, and a wider b range rebuilds them per block
-@lru_cache(maxsize=4)
+# at 1024); a chunk scans window by window, so one table is live at a time,
+# and the chunks of a worker share it when b <= 128
+@lru_cache(maxsize=1)
 def _q_table(window):
     """Row offset(l) + (p mod l), bit i: l | 1 + p b^2 for b = 128 window + 2i + 2."""
     ells, offsets = _sieve_primes()
@@ -252,45 +264,80 @@ def _q_table(window):
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_ONE = np.uint64(1)
 
 
-def _mulhi(x, y):
-    """The high words of the 128-bit products x y of uint64 arrays, from
-    32-bit limbs (every partial sum fits in 64 bits)."""
+class _Modulus(NamedTuple):
+    """An array of odd moduli m < 2^63 with their Montgomery constants: 1/m
+    mod 2^64, 1 in Montgomery form (2^64 mod m) and the 32-bit limbs of m."""
+
+    m: np.ndarray
+    inv: np.ndarray
+    one: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
+
+    def take(self, keep):
+        return _Modulus._make(v[keep] for v in self)
+
+
+def _montgomery(m):
+    """The ``_Modulus`` of a uint64 array of odd m < 2^63."""
+    inv = m.copy()  # m m = 1 (mod 8); each Newton step doubles the bits
+    for _ in range(5):
+        inv *= np.uint64(2) - m * inv
+    return _Modulus(m, inv, (np.uint64(0) - m) % m, m & _LOW32, m >> _SHIFT32)
+
+
+def _reduce(x, m):
+    """x mod m for x < 2m < 2^64: where x < m, x - m wraps to above x."""
+    return np.minimum(x, x - m)
+
+
+def _mulhi(x, y0, y1):
+    """The high words of the 128-bit products x y of uint64 arrays, for y
+    given by its 32-bit limbs (every partial sum fits in 64 bits)."""
     x0, x1 = x & _LOW32, x >> _SHIFT32
-    y0, y1 = y & _LOW32, y >> _SHIFT32
     mid = x1 * y0 + (x0 * y0 >> _SHIFT32)
     low = x0 * y1 + (mid & _LOW32)
     return x1 * y1 + (mid >> _SHIFT32) + (low >> _SHIFT32)
 
 
-def _montgomery(m):
-    """(-1/m mod 2^64 and 2^64 mod m) for an array of odd m < 2^63:
-    the constants of ``_mont_mul``, and 1 in Montgomery form."""
-    inv = m.copy()  # m m = 1 (mod 8); each Newton step doubles the bits
-    for _ in range(5):
-        inv *= np.uint64(2) - m * inv
-    return np.uint64(0) - inv, (np.uint64(0) - m) % m
+def _redc(high, low, mod):
+    """(high 2^64 + low) / 2^64 mod m, for high < m (Montgomery's reduction,
+    Math. Comp. 44, 1985): k = low / m mod 2^64 makes k m agree with the
+    product in the low word, so the quotient is high minus the high word of
+    k m, in (-m, m)."""
+    t = high - _mulhi(low * mod.inv, mod.m0, mod.m1)
+    return np.minimum(t, t + mod.m)  # a negative t wraps to above t + m
 
 
-def _mont_mul(x, y, m, neg_inv):
-    """x y / 2^64 mod m for x, y < m, elementwise (Montgomery's reduction,
-    Math. Comp. 44, 1985): for k = (x y mod 2^64) neg_inv the low words
-    of x y and k m sum to 0 or 2^64, so (x y + k m) / 2^64 is the sum of
-    the high words plus that carry, and it is below 2m."""
-    low = x * y
-    t = _mulhi(x, y) + _mulhi(low * neg_inv, m) + (low != 0)
-    return t - m * (t >= m)
+def _mont_mul(x, y, mod):
+    """x y / 2^64 mod m for x, y < m, elementwise."""
+    return _redc(_mulhi(x, y & _LOW32, y >> _SHIFT32), x * y, mod)
 
 
-def _mont_pow(x, e, m, neg_inv, one):
-    """x^e in Montgomery form for x in Montgomery form and exponents e,
-    elementwise, left to right over the bits of the largest e."""
-    out = one
+def _mont_sqr(x, mod):
+    """x^2 / 2^64 mod m for x < m, elementwise.  x < 2^63, so the cross term
+    2 x0 x1 of the limbs fits in 64 bits."""
+    x0, x1 = x & _LOW32, x >> _SHIFT32
+    high = x1 * x1 + ((x0 * x1 << _ONE) + (x0 * x0 >> _SHIFT32) >> _SHIFT32)
+    return _redc(high, x * x, mod)
+
+
+def _mont_pow_small(c, e, mod):
+    """c^e in Montgomery form, for a small integer c >= 2 and an array of
+    exponents e, left to right over the bits of the largest e: a squaring
+    per bit, then, where the bit is set, the product with c by doublings
+    and additions mod m (each sum is below 2m < 2^64)."""
+    out = mod.one
     for k in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
-        out = _mont_mul(out, out, m, neg_inv)
-        bit = (e >> np.uint64(k) & np.uint64(1)).astype(bool)
-        out = np.where(bit, _mont_mul(out, x, m, neg_inv), out)
+        out = square = _mont_sqr(out, mod)
+        bit = e >> np.uint64(k) & _ONE
+        for digit in bin(c)[3:]:  # the bits of c below its leading one
+            out = _reduce(out << bit, mod.m)
+            if digit == "1":
+                out = _reduce(out + square * bit, mod.m)
     return out
 
 
@@ -303,19 +350,20 @@ def _p_roots(bound):
     ells = ells[ells % 4 == 1]
     half = np.zeros(len(ells), dtype=np.uint64)
     todo = np.arange(len(ells))
-    m = ells.astype(np.uint64)
-    neg_inv, one = _montgomery(m)
-    c = one
-    while len(todo):
+    mod = _montgomery(ells.astype(np.uint64))
+    # The least non-residue c mod l is prime: were every prime below c a
+    # residue, so would be every product of them, that is every integer
+    # below c.  And it is below sqrt(l) + 1.
+    for c in _primes_upto(math.isqrt(bound) + 1).tolist():
+        if not len(todo):
+            break
         # i = c^((l-1)/4) has i^2 = -1 (mod l) exactly when c is a non-residue
-        c = c + one
-        c -= m * (c >= m)
-        i = _mont_pow(c, m >> np.uint64(2), m, neg_inv, one)
-        hit = _mont_mul(i, i, m, neg_inv) == m - one
+        i = _mont_pow_small(c, mod.m >> np.uint64(2), mod)
+        hit = _mont_sqr(i, mod) == mod.m - mod.one
         # i (l + 1)/2 / 2^64 = i/2 (mod l), out of Montgomery form
-        half[todo[hit]] = _mont_mul(i[hit], (m[hit] + np.uint64(1)) >> np.uint64(1),
-                                    m[hit], neg_inv[hit])
-        todo, m, neg_inv, one, c = (v[~hit] for v in (todo, m, neg_inv, one, c))
+        found = mod.take(hit)
+        half[todo[hit]] = _mont_mul(i[hit], (found.m + _ONE) >> _ONE, found)
+        todo, mod = todo[~hit], mod.take(~hit)
     half = half.astype(np.int64)
     ells, roots = np.repeat(ells, 2), np.stack([half, ells - half], axis=1).ravel()
     # the a = r whose p is l itself; r < l < 2^31, so a wrapped 4r^2 + 1 never equals l
@@ -359,52 +407,50 @@ def _sieve_q(p, window, width):
     return rows, b[cols]
 
 
-def _certify_batch(q, p, b2):
+def _certify_batch(q, b2):
     """Per q = 1 + p b2 (uint64 arrays, odd q < 2^63): 1 if q is proved
     prime, 0 if proved composite, -1 if undecided.  Sound only for a
     prime p > b2."""
     verdict = np.full(len(q), -1, dtype=np.int8)
     todo = np.arange(len(q))
-    neg_inv, one = _montgomery(q)
-    c, last = one, 1
-    for base in _CERTIFY_BASES:
-        for _ in range(base - last):  # c = base 2^64 mod q
-            c = c + one
-            c -= q * (c >= q)
-        last = base
-        x = _mont_pow(c, b2, q, neg_inv, one)
-        fermat = _mont_pow(x, p, q, neg_inv, one) != one
-        coprime = np.gcd((x + q - one) % q, q) == 1
-        verdict[todo[fermat]] = 0
-        verdict[todo[~fermat & coprime]] = 1
-        keep = ~fermat & ~coprime
-        todo, q, p, b2, neg_inv, one, c = (
-            v[keep] for v in (todo, q, p, b2, neg_inv, one, c))
+    mod = _montgomery(q)
+    for c in _CERTIFY_BASES:
+        # Fermat on every q first, then the gcd on the q that pass it
+        passed = _mont_pow_small(c, mod.m - _ONE, mod) == mod.one
+        verdict[todo[~passed]] = 0
+        todo, b2, mod = todo[passed], b2[passed], mod.take(passed)
+        x = _mont_pow_small(c, b2, mod)
+        coprime = np.gcd(_reduce(x + mod.m - mod.one, mod.m), mod.m) == 1
+        verdict[todo[coprime]] = 1
+        todo, b2, mod = todo[~coprime], b2[~coprime], mod.take(~coprime)
     return verdict
 
 
 def _scan_chunk(args):
-    """The pairs (a, p, b, q) with a_lo <= a < a_hi and even b <= b_max,
-    block by block of a, then window by window of 64 even b."""
+    """The pairs (a, p, b, q) with a_lo <= a < a_hi and even b <= b_max:
+    the p-sieve block by block of a, then window by window of 64 even b,
+    each window over every block, so that its q table is built once."""
     a_lo, a_hi, b_max = args
-    found = []
     half = b_max // 2  # the number of even b
     bound = math.isqrt(1 + 4 * (a_hi - 1) ** 2)
+    blocks = []
     for lo in range(a_lo, a_hi, _BLOCK):
         a = _sieve_p(lo, min(lo + _BLOCK, a_hi), bound)
         p = 1 + 4 * a * a
-        a_list, p_list = a.tolist(), p.tolist()
-        for window in range((half + 63) // 64):
+        # the rows of one p share its int objects, as the tuples are kept
+        blocks.append((p, a.tolist(), p.tolist()))
+    found = []
+    for window in range((half + 63) // 64):
+        for p, a_list, p_list in blocks:
             rows, b = _sieve_q(p, window, min(64, half - 64 * window))
             pr, b2 = p[rows], b * b
             q = 1 + pr * b2
             verdict = np.full(len(q), -1, dtype=np.int8)
             sure = (pr > b2) & (q >= _SIEVE_BOUND)
-            verdict[sure] = _certify_batch(*(v[sure].astype(np.uint64) for v in (q, pr, b2)))
+            verdict[sure] = _certify_batch(*(v[sure].astype(np.uint64) for v in (q, b2)))
             for k in np.flatnonzero(verdict < 0).tolist():
                 verdict[k] = is_prime_u64(int(q[k]))
             keep = verdict == 1
-            # the rows of one p share its int objects, as the tuples are kept
             rows = rows[keep].tolist()
             found.extend(zip(map(a_list.__getitem__, rows), map(p_list.__getitem__, rows),
                              b[keep].tolist(), q[keep].tolist()))
@@ -438,7 +484,8 @@ def search(a_max: int, b_max: int, workers: int = 1) -> SearchResult:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for part in pool.map(_scan_chunk, tasks):
                     rows.extend(part)
-    rows.sort(key=lambda r: (r[1], r[3]))
+    # p rises with a and q with b, so (a, p, b, q) sorts as (p, q)
+    rows.sort()
     pairs = tuple(map(LandauPair._make, rows))
     distinct = len({r[1] for r in rows})
     elapsed = int((time.monotonic() - start) * 1000)

@@ -12,7 +12,12 @@ compare those with:
 - H^1 of a CM torus from the parities of CM types;
 - the commutator subgroup, generated by all commutators;
 - the p of a Landau pair, as the squarefree part of q - 1.
+
+It also holds the inverse of an element and the exponent of a group,
+which only tests read.
 """
+
+import math
 
 import numpy as np
 
@@ -29,6 +34,15 @@ from cmtori.groups import (
 )
 from cmtori.landau import factorize
 from cmtori.transfer import canonical_section, subgroup_abelianization
+
+
+def inverse(group: FiniteGroup, g: int) -> int:
+    return group.inverses[g]
+
+
+def exponent(group: FiniteGroup) -> int:
+    """The least common multiple of the element orders."""
+    return math.lcm(*(group.element_order(g) for g in group.elements()))
 
 
 def cyclic_generator(group: FiniteGroup):

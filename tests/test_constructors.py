@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from references import squarefree_part
+from references import inverse, squarefree_part
 from cmtori.constructors import (
     abelian_classifier,
     cyclotomic,
@@ -127,7 +127,7 @@ def test_q8_relations_presentation():
     assert g.element_order(tau1) == 4
     assert g.power(tau1, 2) == g.power(tau2, 2)
     conj = g.conj(tau1, tau2)
-    assert conj == g.inv(tau2)
+    assert conj == inverse(g, tau2)
     assert subgroup_generated(g, [tau1, tau2]).order == 8
 
 

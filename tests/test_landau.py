@@ -145,8 +145,10 @@ def test_search_keeps_sieving_primes_as_p_and_q():
 
 
 def _certify(qs, ps, b2s):
-    """The batched certificate on Python ints, as a list of verdicts."""
-    return landau._certify_batch(*(np.array(v, dtype=np.uint64) for v in (qs, ps, b2s))).tolist()
+    """The batched certificate on Python ints, as a list of verdicts; p is
+    implied by q = 1 + p b2, and checked against it."""
+    assert all(q == 1 + p * b2 for q, p, b2 in zip(qs, ps, b2s))
+    return landau._certify_batch(*(np.array(v, dtype=np.uint64) for v in (qs, b2s))).tolist()
 
 
 def test_certificate_needs_p_above_b_squared():
@@ -195,35 +197,62 @@ def _moduli():
         2 * int(n) + 1 for n in np.concatenate([drawn, small])]
 
 
+def _residues(seed):
+    """Per modulus m, the residues 0, 1, m - 1 and a random one."""
+    rng = np.random.default_rng(seed)
+    return [(m, (0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64)))) for m in _moduli()]
+
+
 def test_montgomery_mulmod_matches_python_pow():
-    rng = np.random.default_rng(7)
-    xs, ys, ms = [], [], []
-    for m in _moduli():
-        picks = [0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64))]
-        for x in picks:
-            for y in picks:
-                xs.append(x), ys.append(y), ms.append(m)
-    m = np.array(ms, dtype=np.uint64)
-    neg_inv, one = landau._montgomery(m)
-    assert [(n * k + 1) % (1 << 64) for n, k in zip(ms, neg_inv.tolist())] == [0] * len(ms)
-    assert one.tolist() == [(1 << 64) % n for n in ms]
+    xs, ys, ms = zip(*[(x, y, m) for m, picks in _residues(7) for x in picks for y in picks])
+    mod = landau._montgomery(np.array(ms, dtype=np.uint64))
+    assert [n * k % (1 << 64) for n, k in zip(ms, mod.inv.tolist())] == [1] * len(ms)
+    assert mod.one.tolist() == [(1 << 64) % n for n in ms]
+    assert [lo + (hi << 32) for lo, hi in zip(mod.m0.tolist(), mod.m1.tolist())] == list(ms)
     got = landau._mont_mul(np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64),
-                           m, neg_inv).tolist()
+                           mod).tolist()
     assert got == [x * y * pow(1 << 64, -1, n) % n for x, y, n in zip(xs, ys, ms)]
+
+
+def test_montgomery_sqrmod_matches_python_pow():
+    xs, ms = zip(*[(x, m) for m, picks in _residues(9) for x in picks])
+    mod = landau._montgomery(np.array(ms, dtype=np.uint64))
+    got = landau._mont_sqr(np.array(xs, dtype=np.uint64), mod).tolist()
+    assert got == [x * x * pow(1 << 64, -1, n) % n for x, n in zip(xs, ms)]
 
 
 def test_montgomery_powmod_matches_python_pow():
     rng = np.random.default_rng(8)
-    xs, es, ms = [], [], []
+    es, ms = [], []
     for m in _moduli():
-        for x in (0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64))):
-            for e in (0, 1, 2, int(rng.integers(0, 1 << 62))):
-                xs.append(x), es.append(e), ms.append(m)
-    m = np.array(ms, dtype=np.uint64)
-    neg_inv, one = landau._montgomery(m)
-    to_mont = np.array([(x << 64) % n for x, n in zip(xs, ms)], dtype=np.uint64)
-    got = landau._mont_pow(to_mont, np.array(es, dtype=np.uint64), m, neg_inv, one).tolist()
-    assert got == [(pow(x, e, n) << 64) % n for x, e, n in zip(xs, es, ms)]
+        for e in (0, 1, 2, m - 1, int(rng.integers(0, 1 << 62))):
+            es.append(e), ms.append(m)
+    mod = landau._montgomery(np.array(ms, dtype=np.uint64))
+    for c in (2, 3, 5, 7, 61):
+        got = landau._mont_pow_small(c, np.array(es, dtype=np.uint64), mod).tolist()
+        assert got == [(pow(c, e, n) << 64) % n for e, n in zip(es, ms)], c
+
+
+def test_p_roots_give_both_roots_of_every_prime():
+    bound = 20000
+    ells, roots, split, self_prime = landau._p_roots(bound)
+    expected = [ell for ell in range(5, bound + 1, 4) if is_prime_u64(ell)]
+    assert ells.tolist() == [ell for ell in expected for _ in (0, 1)]
+    for ell, r, s in zip(ells[::2].tolist(), roots[::2].tolist(), roots[1::2].tolist()):
+        assert 0 < r < ell and r + s == ell
+        assert (4 * r * r + 1) % ell == 0 and (4 * s * s + 1) % ell == 0
+    assert split == np.searchsorted(ells, landau._BLOCK)
+    assert self_prime.tolist() == [r for r in roots.tolist() if is_prime_u64(1 + 4 * r * r)
+                                   and 1 + 4 * r * r <= bound]
+
+
+def test_q_table_built_once_per_window():
+    # five windows of 64 even b over two blocks of a, in one chunk: more
+    # windows than a four-table cache holds, were it filled block by block
+    assert landau._BLOCK < 9000 <= 2 * landau._BLOCK
+    landau._q_table.cache_clear()
+    assert _rows(search(9000, 600)) == _reference_rows(9000, 600)
+    assert landau._q_table.cache_info().misses == 5
 
 
 def _sieve_p_matches_primality(starts, hi_max):

@@ -35,6 +35,7 @@ def test_landau_cost_with_one_run(tmp_path):
                                            + counts["q_fallbacks"])
     assert counts["certified"] + counts["q_fallbacks"] >= counts["pairs"]
     assert counts["is_prime_calls"] == counts["p_tests"] + counts["q_fallbacks"]
+    assert counts["q_tables"] == 1  # b <= 100 is one window of 64 even b
     assert size["search_s"]["q1"] == size["search_s"]["median"] == size["search_s"]["q3"]
 
 
@@ -53,9 +54,10 @@ def test_cli_digest_repeats_on_oracle_verify():
                            check=True, capture_output=True, text=True).stdout
             for _ in range(2)]
     assert runs[0] == runs[1]
-    workloads, probes = runs[0].splitlines()
+    workloads, probes, landau = runs[0].splitlines()
     assert workloads.startswith("workloads commands=28 sha256=")
     assert probes.startswith("probes commands=18 sha256=")
+    assert landau.startswith("landau commands=2 sha256=")
 
 
 def test_tau_cost_with_one_run(monkeypatch):
