@@ -1,8 +1,9 @@
 """Cost of the engine at the |G| = 512 cap, command by command.
 
 The commands are those of the ``tau_cap`` workload of ``cmbench/inputs.py``
-(seed 1001), then ``tau datum`` on four abelian CM data of order 512 that
-the script writes from family specs: H = 1 and Ntilde = <iota> over
+(seed 1001), with ``tau cyclotomic`` on both n the workload draws from
+(771 and 1024), then ``tau datum`` on four abelian CM data of order 512
+that the script writes from family specs: H = 1 and Ntilde = <iota> over
 (Z/2)^9, C4^4 x C2, C8^3 and C2^5 x C16, with iota the product of the
 involutions of the cyclic factors.  Every cyclic subgroup is a
 decomposition group, so these stress the finite-abelian-group algebra.
@@ -51,6 +52,8 @@ STAGES = {
     "subgroup_tables": "_subgroup_as_group",
     "normality": "is_normal",
 }
+# the cyclotomic n of the tau_cap workload near the cap -> phi(n)
+CAP_CYCLOTOMIC = {771: 512, 1024: 512}
 # datum file -> the orders of the cyclic factors of its group
 ABELIAN_CAP = {"c2^9.json": (2,) * 9, "c4^4xc2.json": (4, 4, 4, 4, 2),
                "c8^3.json": (8, 8, 8), "c2^5xc16.json": (2,) * 5 + (16,)}
@@ -123,7 +126,11 @@ def child(traced, argv):
 
 def measure(files, commands, runs):
     """One row per (argv, order) in ``commands``, each run ``runs`` times in
-    turn, in a directory that holds the datum ``files``."""
+    turn, in a directory that holds the datum ``files``.  ``src/`` is
+    byte-compiled first: where ``PYTHONDONTWRITEBYTECODE`` is set, a module
+    with stale byte code is compiled again in every child, which raises
+    its peak RSS by about 2 MiB."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     plain = {i: [] for i in range(len(commands))}
     traced = {i: [] for i in range(len(commands))}
@@ -158,6 +165,11 @@ def main(argv=None):
     spec = _load(ROOT / "cmbench" / "inputs.py").tau_cap(SEED)
     files = dict(spec["files"])
     commands = [(op["argv"], op["order"]) for op in spec["ops"]]
+    # the workload draws one of 771 and 1024 per seed: time both
+    for n, order in CAP_CYCLOTOMIC.items():
+        argv = ["tau", "cyclotomic", str(n)]
+        if (argv, order) not in commands:
+            commands.insert(2, (argv, order))
     for name, orders in ABELIAN_CAP.items():
         files[name] = abelian_cm_spec(orders)
         commands.append((["tau", "datum", name], 512))

@@ -42,13 +42,12 @@ def _load_datum(path):
 
 
 def _tau_cyclotomic(args):
-    fam = constructors.cyclotomic(args.n)
-    report = engine.tamagawa(fam.datum)
+    report, predicted = constructors.cyclotomic_report(args.n)
     _emit({
         "n": args.n,
-        "predicted_tau": formats.fraction_to_json(fam.predicted_tau),
+        "predicted_tau": formats.fraction_to_json(predicted),
         "report": formats.report_to_json(report),
-        "agrees": report.tau == fam.predicted_tau,
+        "agrees": report.tau == predicted,
     })
     return 0
 

@@ -10,17 +10,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from .abelian import FinAb
 from .cohomology import involution_complement, xi_complement, xi_obstruction
-from .datum import NormTorusDatum, TorusPair
+from .datum import NormTorusDatum, TamagawaReport, TorusPair
 from .engine import (
     NK_ONE,
+    abelian_cm_tamagawa,
     density_bound,
     imaginary_quadratic_count,
     product_tamagawa,
     tamagawa,
 )
-from .errors import DatumError
+from .errors import DatumError, InternalCheckError
 from .groups import (
     FiniteGroup,
     center,
@@ -101,6 +104,106 @@ def cyclotomic(n: int) -> FamilyResult:
     else:
         predicted = Fraction(2)
     return FamilyResult(datum, predicted)
+
+
+class _PrimePower(NamedTuple):
+    """(Z/q^b)^* with the generators of its 2-Sylow subgroup."""
+
+    prime: int
+    modulus: int                      # q^b
+    odd: int                          # the odd part of phi(q^b)
+    generators: tuple[tuple[int, int], ...]   # (gamma, k): gamma of order 2^k
+
+
+def _prime_power(q: int, b: int) -> _PrimePower:
+    """For odd q the 2-Sylow subgroup of the cyclic (Z/q^b)^* is generated
+    by z^odd for any quadratic non-residue z mod q: z is an odd power of a
+    generator, since squares mod q^b reduce to squares mod q.  For q = 2 it
+    is the whole group, <-1> x <5> (the second factor from b = 3 on)."""
+    modulus = q ** b
+    if q == 2:
+        return _PrimePower(2, modulus, 1, ((modulus - 1, 1),) + (((5, b - 2),) if b > 2 else ()))
+    bits = ((q - 1) & (1 - q)).bit_length() - 1
+    odd = modulus // q * (q - 1) >> bits
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    return _PrimePower(q, modulus, odd, ((pow(z, odd, modulus), bits),))
+
+
+def _log2(y: int, gamma: int, bits: int, modulus: int) -> int:
+    """k mod 2^bits with gamma^k = y, for gamma of order 2^bits: Pohlig-Hellman
+    on a cyclic 2-group.  With the bits of k below i cleared from y,
+    y^(2^(bits-1-i)) is 1 exactly when bit i is 0; ``bits`` powers of at most
+    ``bits`` squarings each."""
+    k = 0
+    step = pow(gamma, -1, modulus)          # gamma^(-2^i)
+    for i in range(bits):
+        if pow(y, 1 << (bits - 1 - i), modulus) != 1:
+            k |= 1 << i
+            y = y * step % modulus
+        step = step * step % modulus
+    if y != 1:
+        raise InternalCheckError("element is not in the 2-Sylow subgroup",
+                                 modulus=modulus)
+    return k
+
+
+def _sylow2_coordinates(x: int, part: _PrimePower) -> list[int]:
+    """Coordinates, on ``part.generators``, of the 2-part of the unit x mod
+    part.modulus.  For odd q, x^odd is the 2-part raised to ``odd``, a unit
+    mod its order; for q = 2, x = (-1)^s 5^t with s = 1 when x = 3 mod 4."""
+    y = x % part.modulus
+    if part.prime == 2:
+        sign = y % 4 // 2
+        if len(part.generators) == 1:
+            return [sign]
+        return [sign, _log2(part.modulus - y if sign else y, 5,
+                            part.generators[1][1], part.modulus)]
+    (gamma, bits), = part.generators
+    k = _log2(pow(y, part.odd, part.modulus), gamma, bits, part.modulus)
+    return [k * pow(part.odd, -1, 1 << bits) % (1 << bits)]
+
+
+def cyclotomic_report(n: int) -> tuple[TamagawaReport, Fraction]:
+    """``tamagawa(cyclotomic(n).datum)`` and the predicted tau, with no table.
+
+    G = (Z/n)^* is the product of the (Z/q^b)^* over q^b || n.  The report
+    of its CM datum is that of the 2-Sylow subgroup P, with iota = -1 and
+    the projections of the ramified decomposition groups
+    (``engine.abelian_cm_tamagawa``).  P is the product of the 2-Sylow
+    subgroups of the factors, in coordinates read off 2-parts of discrete
+    logs: one cyclic factor per odd q, two for 2^b with b > 2, one for 4.
+    D_p is inertia, the factor at p, with the Frobenius lift that is p at
+    every other factor and 1 at p.  The cost is a factorization, one
+    ``_log2`` per pair of prime factors (at most 62^2 squarings each) and
+    ``abelian`` algebra in rank at most 16: it grows with the number of
+    cyclic factors, never with phi(n).
+    """
+    if n <= 2 or (n % 2 == 0 and n % 4 != 0):
+        raise DatumError("cyclotomic family needs n > 2 with n odd or 4 | n", n=n)
+    fact = factorize(n)
+    parts = [_prime_power(q, b) for q, b in fact.items()]
+    owner = [j for j, part in enumerate(parts) for _ in part.generators]
+    bits = [k for part in parts for _, k in part.generators]
+    # P in invariant-factor form: the cyclic factors sorted by order
+    order = sorted(range(len(bits)), key=bits.__getitem__)
+    p_group = FinAb(tuple(1 << bits[i] for i in order))
+
+    def element(residue_at):
+        """The 2-part of the unit that is residue_at(j) mod the j-th q^b."""
+        flat = [c for j, part in enumerate(parts)
+                for c in _sylow2_coordinates(residue_at(j), part)]
+        return p_group.element([flat[i] for i in order])
+
+    iota = element(lambda j: -1)
+    decomposition = []
+    for j, ramified in enumerate(parts):
+        inertia = [p_group.element([int(i == t) for i in order])
+                   for t in range(len(bits)) if owner[t] == j]
+        frobenius = element(lambda i: 1 if i == j else ramified.prime)
+        decomposition.append(inertia + [frobenius])
+    report = abelian_cm_tamagawa(p_group, iota, decomposition, exact=True)
+    predicted = Fraction(1) if n == 4 or (len(fact) == 1 and 2 not in fact) else Fraction(2)
+    return report, predicted
 
 
 # ---------------------------------------------------------------------------

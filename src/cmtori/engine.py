@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import (
+    AbElement,
     AbHom,
     FinAb,
     SubgroupData,
@@ -147,16 +148,20 @@ def primitive_part(datum: NormTorusDatum) -> PrimitivePart:
                          kernel_of_hom(g_ab.group, _combined_transfer(datum)))
 
 
-def sha2(datum: NormTorusDatum) -> FinAb:
-    """Sha^2 of the torus lattice: Ann(W) / Ann(K), dual to K / W."""
-    prim = primitive_part(datum)
-    # exactness puts W inside K; a failure is a bug
+def _k_over_w(kernel: SubgroupData, constraint: SubgroupData) -> FinAb:
+    """K / W; exactness puts W inside K, so a failure is a bug."""
     try:
-        w_in_k = factor_through(prim.kernel.inclusion, prim.constraint.inclusion)
+        w_in_k = factor_through(kernel.inclusion, constraint.inclusion)
     except InternalCheckError as exc:
         raise InternalCheckError(
             "dual transfer image escapes the primitive part") from exc
     return cokernel_of_hom([w_in_k])[0]
+
+
+def sha2(datum: NormTorusDatum) -> FinAb:
+    """Sha^2 of the torus lattice: Ann(W) / Ann(K), dual to K / W."""
+    prim = primitive_part(datum)
+    return _k_over_w(prim.kernel, prim.constraint)
 
 
 def tamagawa(datum: NormTorusDatum) -> TamagawaReport:
@@ -170,6 +175,97 @@ def tamagawa(datum: NormTorusDatum) -> TamagawaReport:
         tau=tau,
         n_k=prim.order if datum.is_cm else None,
         exact=datum.declared_complete,
+    )
+
+
+# ---------------------------------------------------------------------------
+# abelian CM data without a table
+# ---------------------------------------------------------------------------
+
+def _times(group: FinAb, k: int) -> AbHom:
+    """x -> k x on ``group``."""
+    r = group.rank
+    return AbHom(group, group, tuple(tuple(k if i == j else 0 for j in range(r))
+                                     for i in range(r)))
+
+
+def abelian_cm_tamagawa(group: FinAb, iota: AbElement, decomposition_groups=(),
+                        exact: bool = False) -> TamagawaReport:
+    """``tamagawa`` of the CM datum (H = 1, Ntilde = <iota>) on an abelian G,
+    with every cyclic subgroup and the groups generated by each list of
+    elements in ``decomposition_groups`` as decomposition groups.
+
+    G is held by its invariant factors and nothing enumerates its
+    elements, so the cost grows with its rank, never with |G|.  Every step
+    is a subgroup, kernel, cokernel or ``factor_through`` of ``abelian``:
+
+    - The transfer from an abelian D to a subgroup E is x -> [D:E] x
+      (Isaacs, *Finite Group Theory*, ch. 5).  So c : G -> Ntilde^ab =
+      <iota> = Z/2 is x -> (|G|/2) x, H^1(norm one) = Z/2, H^1 = coker c
+      and K = ker c, as in the module docstring.
+    - H = 1 has one conjugate and D meet Ntilde is <iota> or 1, so the
+      local kernel ker_D is D when iota is not in D and the kernel of
+      x -> (|D|/2) x on D when it is.  The archimedean <iota> is cyclic.
+    - The cyclic floor.  Let e = exp(G), s = v_2(e) and P the 2-Sylow
+      subgroup, so that (e/2) G = 2^(s-1) P.  The subgroup W_cyc generated
+      by the ker_C over all cyclic C is G unless (e/2) G = <iota>, and
+      then it is U = ker(x -> (e/2) x), of index 2.  It contains 2G, as
+      2g lies in ker_<g> either way.
+
+      (F) If (e/2) g != 0 then v_2(ord g) = s, and (e/2) g, an odd
+      multiple of the one involution of <g>, is that involution.
+      (a) (e/2) G != <iota>.  It is a nonzero elementary abelian 2-group,
+      so some z has x = (e/2) z outside {0, iota}; by (F) iota is not in
+      <z>, and z lies in W_cyc.  Let iota lie in <g> (else g lies in
+      W_cyc).  Then (e/2) g is 0 or, by (F), iota, so (e/2)(g + z) is x or
+      iota + x, outside {0, iota}, and by (F) iota is not in <g + z>.  So
+      g = (g + z) - z lies in W_cyc.
+      (b) (e/2) G = <iota>.  By (F), ker_<g> is <g> inside U when
+      (e/2) g = 0, and <2g> inside U when (e/2) g = iota.  So W_cyc <= U.
+      Conversely, U = G_odd + (U meet P) and G_odd <= 2G, so let g in
+      U meet P have order 2^t, t < s, with iota in <g>, i.e.
+      iota = 2^(t-1) g.  With iota = 2^(s-1) z (z in P), h = g - 2^(s-t) z
+      lies in U, has order below 2^t, and g - h lies in 2G.  By induction
+      on t, g lies in W_cyc.
+    - W <= K is a hard check (``InternalCheckError``), as in ``sha2``.
+
+    The 2-Sylow reduction: 2G <= W_cyc <= W and c(2g) = |G| g = 0, so
+    2G <= W meet K, and the odd part G_odd lies in both.  With pi : G -> P the projection,
+    c = c_P o pi with c_P(x) = (|P|/2) x (the odd part of |G|/2 fixes
+    <iota>); iota lies in D exactly when it lies in pi(D) = D meet P; and
+    pi(ker_D) = ker_pi(D) (the odd part of |D|/2 is a unit on pi(D)).  So
+    (G, iota, D) and (P, iota, pi(D)) have the same report: a caller may
+    pass P alone, in 2-parts of discrete logs.
+    """
+    ntilde = subgroup_of(group, [iota])
+    if ntilde.order != 2:
+        raise DatumError("iota must have order 2", iota=list(iota.coords))
+    c = factor_through(ntilde.inclusion, _times(group, group.order // 2))
+    half = _times(group, group.exponent // 2)
+    if all(col in (iota.coords, group.zero().coords) for col in half.columns):
+        w_cyc = kernel_of_hom(group, [half]).inclusion
+    else:
+        w_cyc = _times(group, 1)
+    w_gens = [group.element(col) for col in w_cyc.columns]
+    for gens in decomposition_groups:
+        gens = list(gens)
+        dec = subgroup_of(group, gens)
+        if subgroup_of(group, gens + [iota]).order != dec.order:
+            w_gens += gens
+            continue
+        local = kernel_of_hom(dec.group, [_times(dec.group, dec.order // 2)])
+        w_gens += [group.element(col)
+                   for col in dec.inclusion.compose(local.inclusion).columns]
+    w = subgroup_of(group, w_gens)
+    prim = group.order // w.order
+    return TamagawaReport(
+        h1_torus=cokernel_of_hom([c])[0],
+        h1_norm_one=ntilde.group,
+        primitive_order=prim,
+        sha2=_k_over_w(kernel_of_hom(group, [c]), w),
+        tau=Fraction(2, prim),
+        n_k=prim,
+        exact=exact,
     )
 
 

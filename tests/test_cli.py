@@ -7,6 +7,7 @@ import pytest
 from corpus import cyclic_cm, empty_pairs_datum, noncm_coprime_product, q8_cm
 from cmtori import cli, formats
 from cmtori.cli import main
+from cmtori.landau import is_prime_u64
 
 
 def run_cli(args, tmp_path=None):
@@ -29,10 +30,67 @@ def test_tau_cyclotomic_12():
 
 
 def test_tau_cyclotomic_rejects_mod_2():
-    code, out = run_cli(["tau", "cyclotomic", "6"])
-    assert code == 3
+    for n in (1, 2, 6, 10):
+        code, out = run_cli(["tau", "cyclotomic", str(n)])
+        assert code == 3
+        assert json.loads(out) == {"error": {
+            "code": 3, "context": {"n": n},
+            "message": "cyclotomic family needs n > 2 with n odd or 4 | n"}}
+    for n in (2 ** 63, 2 ** 63 + 1, 10 ** 20):
+        code, out = run_cli(["tau", "cyclotomic", str(n)])
+        assert code == 3
+        assert json.loads(out)["error"]["context"] == {"n": n}
+
+
+def test_tau_cyclotomic_past_the_table_cap():
+    """phi(1157) = 1,056: no table is built, and tau is the prediction."""
+    code, out = run_cli(["tau", "cyclotomic", "1157"])
+    assert code == 0
     payload = json.loads(out)
-    assert payload["error"]["code"] == 3
+    assert payload["report"]["tau"] == payload["predicted_tau"] == {"num": 2, "den": 1}
+    assert payload["agrees"] is True
+
+
+# each command runs in a child under an address-space limit, so an
+# unbounded allocation fails the child, not the host
+_LIMITED_CLI = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from cmtori.cli import main
+for arg in sys.argv[1:]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["tau", "cyclotomic", arg])
+    print(json.dumps([arg, code, json.loads(buf.getvalue())]))
+"""
+
+
+def test_tau_cyclotomic_adversarial_n_end_quickly():
+    """Large prime powers, 2^62, products of many primes = 1 mod 2^k, a
+    large prime = 1 mod 2^32 and a product of two primes near 2^31 end in
+    a few seconds with exit 0 (or 3 past 2^63), never a traceback."""
+    many = 1
+    q = 65
+    while True:                      # primes = 1 mod 64 while the product is below 2^63
+        if is_prime_u64(q):
+            if many * q >= 2 ** 63:
+                break
+            many *= q
+        q += 64
+    big = 2 ** 62 + 1
+    while not is_prime_u64(big):
+        big += 2 ** 32
+    values = [2 ** 62, 3 ** 39, many, big, 2147483647 * 2147483629, 2 ** 63 - 1, 2 ** 63]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *map(str, values)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [int(arg) for arg, _, _ in rows] == values
+    for arg, code, payload in rows:
+        if int(arg) >= 2 ** 63:
+            assert code == 3 and payload["error"]["context"] == {"n": int(arg)}
+        else:
+            assert code == 0 and payload["agrees"] is True, arg
 
 
 def test_tau_q8():

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,14 +9,16 @@ from references import inverse, squarefree_part
 from cmtori.constructors import (
     abelian_classifier,
     cyclotomic,
+    cyclotomic_report,
     dihedral_cm,
     factorize,
     legendre,
     q8_landau,
     split_classifier,
 )
+from cmtori.abelian import FinAb
 from cmtori.datum import NormTorusDatum, TorusPair
-from cmtori.engine import tamagawa
+from cmtori.engine import abelian_cm_tamagawa, tamagawa
 from cmtori.errors import DatumError
 from cmtori.groups import (
     center,
@@ -89,6 +93,90 @@ def test_cyclotomic_rejects_bad_n():
     for n in (1, 2, 6, 10):
         with pytest.raises(DatumError):
             cyclotomic(n)
+
+
+def _census():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_census.py"
+    spec = importlib.util.spec_from_file_location("cyclotomic_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPORT_FIELDS = ("h1_torus", "h1_norm_one", "primitive_order", "sha2", "tau", "n_k", "exact")
+
+
+def _assert_route_matches_table(n):
+    report, predicted = cyclotomic_report(n)
+    fam = cyclotomic(n)
+    reference = tamagawa(fam.datum)
+    for field in REPORT_FIELDS:
+        assert getattr(report, field) == getattr(reference, field), (n, field)
+    assert predicted == fam.predicted_tau, n
+
+
+def test_cyclotomic_report_matches_table_engine_to_phi_128():
+    values = _census().admissible_to_phi(128)
+    assert len(values) == 168
+    for n in values:
+        _assert_route_matches_table(n)
+
+
+def test_cyclotomic_report_matches_table_engine_seeded_to_cap():
+    census = _census()
+    values = census.admissible_to_phi(512)
+    assert len(values) == 670
+    above = sorted(set(values) - set(census.admissible_to_phi(128)) - {771, 1024, 1155})
+    for n in [771, 1024, 1155] + random.Random(23).sample(above, 8):
+        _assert_route_matches_table(n)
+
+
+def test_cyclotomic_report_past_the_cap_matches_prediction():
+    """Past |G| = 512 the prediction is the check: 1 for an odd prime power,
+    2 otherwise.  The n are seeded products of prime powers below 2^63,
+    with phi(n) and the prediction read off the chosen factors."""
+    rng = random.Random(1157)
+    primes = [q for q in range(3, 2000, 2) if is_prime_u64(q)]
+    cases = [(1157, 2), (2 ** 62, 2), (3 ** 39, 1), (2 ** 63 - 25, 1)]
+    while len(cases) < 60:
+        two = rng.choice((0, 2, rng.randrange(3, 12)))
+        n, phi = 2 ** two, 2 ** two // 2 if two else 1
+        chosen = rng.sample(primes, rng.randrange(1, 6))
+        for q in chosen:
+            e = rng.randrange(1, 3)
+            n, phi = n * q ** e, phi * (q - 1) * q ** (e - 1)
+        if n < 2 ** 63 and phi > 512:
+            cases.append((n, 1 if two == 0 and len(chosen) == 1 else 2))
+    for n, expected in cases:
+        report, predicted = cyclotomic_report(n)
+        assert predicted == report.tau == expected, n
+        assert report.exact and report.sha2.is_trivial, n
+        assert report.h1_torus.order == expected, n
+
+
+def test_abelian_cm_route_matches_table_engine():
+    """The table-free core on abstract abelian groups, every involution as
+    iota and seeded decomposition groups given by generators, against the
+    table engine on the same datum."""
+    rng = random.Random(16)
+    for factors in [(2,), (6,), (2, 4), (4, 4), (2, 8), (2, 12), (2, 2, 4), (2, 4, 8)]:
+        ab = FinAb(factors)
+        prod = direct_product(*(cyclic(d) for d in factors))
+        g = prod.group
+        for iota in (x for x in ab.elements() if x.order() == 2):
+            packed = prod.pack(iota.coords)
+            decomposition = [[ab.element([rng.randrange(d) for d in factors])
+                              for _ in range(rng.randrange(1, 3))] for _ in range(3)]
+            datum = NormTorusDatum(
+                g, (TorusPair(subgroup_generated(g, []), subgroup_generated(g, [packed])),),
+                iota=packed,
+                decomposition_groups=tuple(subgroup_generated(g, [prod.pack(x.coords) for x in d])
+                                           for d in decomposition),
+                declared_complete=True)
+            report = abelian_cm_tamagawa(ab, iota, decomposition, exact=True)
+            reference = tamagawa(datum)
+            for field in REPORT_FIELDS:
+                assert getattr(report, field) == getattr(reference, field), (factors, iota, field)
 
 
 def test_cyclotomic_12_ramified_group():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,8 +64,9 @@ def test_cli_digest_repeats_on_oracle_verify():
 def test_tau_cost_with_one_run(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))      # tau_cost imports oracle_cost
     tau_cost = _load("tau_cost")
-    (row,) = tau_cost.measure({}, [(["tau", "cyclotomic", "15"], 8)], runs=1)
-    assert row["argv"] == ["tau", "cyclotomic", "15"] and row["runs"] == 1
+    files = {"c4.json": tau_cost.abelian_cm_spec((4,))}
+    (row,) = tau_cost.measure(files, [(["tau", "datum", "c4.json"], 4)], runs=1)
+    assert row["argv"] == ["tau", "datum", "c4.json"] and row["runs"] == 1
     assert row["wall_s"]["q1"] == row["wall_s"]["median"] == row["wall_s"]["q3"] > 0
     assert set(row["stages"]) == {"cyclic_subgroups", "subgroup_tables", "normality"}
     assert row["stages"]["cyclic_subgroups"]["calls"] == 1   # one datum
@@ -99,3 +101,27 @@ def test_src_lines_counts_code_and_docstrings():
     counts = [[int(field.split("=")[1]) for field in line.split()[1:]] for line in modules]
     assert "engine.py" in {line.split()[0] for line in modules}
     assert total == "total code={} docstring={}".format(*map(sum, zip(*counts)))
+
+
+def test_cyclotomic_census_at_a_tiny_bound(tmp_path):
+    out = tmp_path / "cyclotomic.json"
+    subprocess.run([sys.executable, str(SCRIPTS / "cyclotomic_census.py"), "--max-phi", "8",
+                    "--n-max", "40", "--out", str(out)], check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    table, prediction = record["table"], record["prediction"]
+    # phi(n) <= 8: 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24
+    assert table["count"] == 11 and table["identical"] and table["differ"] == []
+    assert prediction["count"] == 29 and prediction["agree"]
+    assert prediction["tau_1"] == [3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37]
+    assert prediction["tau_2_count"] == 29 - 15
+
+
+def test_landau_recount_b_bound_cross_checks_search():
+    """search(2000, 300) against the sympy recount at b <= 300, on seeded a."""
+    recount = _load("landau_recount")
+    result = search(2000, 300)
+    sample = {1, 2000} | set(random.Random(300).sample(range(1, 2001), 150))
+    expected = set(recount.landau_pairs(sorted(sample), b_max=300))
+    found = {(pair.a, pair.b) for pair in result.pairs if pair.a in sample}
+    assert found == expected
+    assert max(b for _, b in expected) > 100
