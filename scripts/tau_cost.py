@@ -126,11 +126,7 @@ def child(traced, argv):
 
 def measure(files, commands, runs):
     """One row per (argv, order) in ``commands``, each run ``runs`` times in
-    turn, in a directory that holds the datum ``files``.  ``src/`` is
-    byte-compiled first: where ``PYTHONDONTWRITEBYTECODE`` is set, a module
-    with stale byte code is compiled again in every child, which raises
-    its peak RSS by about 2 MiB."""
-    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
+    turn, in a directory that holds the datum ``files``."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     plain = {i: [] for i in range(len(commands))}
     traced = {i: [] for i in range(len(commands))}
@@ -162,6 +158,9 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", default=str(ROOT / "BENCH_tau.json"))
     args = parser.parse_args(argv)
+    # where PYTHONDONTWRITEBYTECODE is set, a module with stale byte code is
+    # compiled again in every child, which raises its peak RSS by about 2 MiB
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     spec = _load(ROOT / "cmbench" / "inputs.py").tau_cap(SEED)
     files = dict(spec["files"])
     commands = [(op["argv"], op["order"]) for op in spec["ops"]]

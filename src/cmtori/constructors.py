@@ -201,7 +201,7 @@ def cyclotomic_report(n: int) -> tuple[TamagawaReport, Fraction]:
                    for t in range(len(bits)) if owner[t] == j]
         frobenius = element(lambda i: 1 if i == j else ramified.prime)
         decomposition.append(inertia + [frobenius])
-    report = abelian_cm_tamagawa(p_group, iota, decomposition, exact=True)
+    report = abelian_cm_tamagawa(p_group, iota, decomposition)
     predicted = Fraction(1) if n == 4 or (len(fact) == 1 and 2 not in fact) else Fraction(2)
     return report, predicted
 

@@ -189,11 +189,12 @@ def _times(group: FinAb, k: int) -> AbHom:
                                      for i in range(r)))
 
 
-def abelian_cm_tamagawa(group: FinAb, iota: AbElement, decomposition_groups=(),
-                        exact: bool = False) -> TamagawaReport:
+def abelian_cm_tamagawa(group: FinAb, iota: AbElement,
+                        decomposition_groups) -> TamagawaReport:
     """``tamagawa`` of the CM datum (H = 1, Ntilde = <iota>) on an abelian G,
     with every cyclic subgroup and the groups generated by each list of
-    elements in ``decomposition_groups`` as decomposition groups.
+    elements in ``decomposition_groups`` as decomposition groups.  That set
+    is the whole of the datum, so the report is exact.
 
     G is held by its invariant factors and nothing enumerates its
     elements, so the cost grows with its rank, never with |G|.  Every step
@@ -265,7 +266,7 @@ def abelian_cm_tamagawa(group: FinAb, iota: AbElement, decomposition_groups=(),
         sha2=_k_over_w(kernel_of_hom(group, [c]), w),
         tau=Fraction(2, prim),
         n_k=prim,
-        exact=exact,
+        exact=True,
     )
 
 

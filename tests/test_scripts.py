@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cmtori.landau import search
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -118,6 +120,7 @@ def test_cyclotomic_census_at_a_tiny_bound(tmp_path):
 
 def test_landau_recount_b_bound_cross_checks_search():
     """search(2000, 300) against the sympy recount at b <= 300, on seeded a."""
+    pytest.importorskip("sympy")
     recount = _load("landau_recount")
     result = search(2000, 300)
     sample = {1, 2000} | set(random.Random(300).sample(range(1, 2001), 150))
