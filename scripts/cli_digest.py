@@ -10,12 +10,18 @@ probes: data whose permutation generators have a malformed shape, through
 ``tau datum``, ``oracle verify`` and ``classify``.  Last it runs
 ``landau search`` at a <= 1e5, b <= 100 (the ``landau_search`` workload)
 and at a <= 2000, b <= 300 (three windows of 64 even b), whatever the
-seeds.  It prints one line per group, with the number of commands and a
-SHA-256 of their (argv, exit code, standard output) triples:
+seeds.  Then ``tau product`` on the quaternion data of disjoint Landau
+families of 1, 2 and 3 pairs (the files ``tau_cap`` writes), on
+cyclotomic(5) x cyclotomic(7), on quaternion x cyclotomic(7), and on a
+quaternion factor with the whole group as a decomposition group (P = 5,
+Q = 21, (5/3) = -1), which the product formula rejects.  It prints one
+line per group, with the number of commands and a SHA-256 of their
+(argv, exit code, standard output) triples:
 
     workloads commands=<n> sha256=<hex>
     probes commands=18 sha256=<hex>
     landau commands=2 sha256=<hex>
+    products commands=6 sha256=<hex>
 
 For ``landau search`` the standard output is the JSON with its
 ``elapsed_ms`` removed (the search reports its own run time), followed by
@@ -41,7 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cmtori import cli  # noqa: E402
+from cmtori import cli, formats  # noqa: E402
+from cmtori.constructors import cyclotomic  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("cmbench_inputs", ROOT / "cmbench" / "inputs.py")
 inputs = importlib.util.module_from_spec(_spec)
@@ -51,6 +58,10 @@ WORKLOADS = ("tau_cap", "tau_sweep", "oracle_verify")
 PROBE_GENERATORS = ([5], ["abc"], [{"a": 1}], [None], [[[0, 1], 2]], [[0, [1, 2]]])
 PROBE_COMMANDS = (["tau", "datum"], ["oracle", "verify"], ["classify"])
 LANDAU_SIZES = ((10 ** 5, 100), (2000, 300))
+# disjoint Landau pairs (P, Q) for the quaternion families, and a
+# quaternion (P, Q) whose datum has a non-cyclic decomposition group
+LANDAU_FAMILY = ((5, 181), (17, 613), (37, 149))
+NONCYCLIC_Q8 = (5, 21)
 
 
 def workload_plans(workloads, seeds):
@@ -74,6 +85,17 @@ def landau_plans():
     argvs = [["landau", "search", "--a-max", str(a_max), "--b-max", str(b_max),
               "--out", f"pairs_{a_max}_{b_max}.csv"] for a_max, b_max in LANDAU_SIZES]
     return [({}, argvs)]
+
+
+def product_plans():
+    files = {f"q8_{p}_{q}.json": inputs.q8_datum(p, q)
+             for p, q in LANDAU_FAMILY + (NONCYCLIC_Q8,)}
+    files.update({f"cyc{n}.json": formats.datum_to_json(cyclotomic(n).datum) for n in (5, 7)})
+    q8 = [f"q8_{p}_{q}.json" for p, q in LANDAU_FAMILY]
+    argvs = [q8[:r] for r in (1, 2, 3)]
+    argvs += [["cyc5.json", "cyc7.json"], [q8[0], "cyc7.json"],
+              ["q8_{}_{}.json".format(*NONCYCLIC_Q8), "cyc5.json"]]
+    return [(files, [["tau", "product", *argv] for argv in argvs])]
 
 
 def _run(argv):
@@ -128,7 +150,8 @@ def main():
     args = parser.parse_args()
     for label, plans, run in (("workloads", workload_plans(args.workloads, args.seeds), _run),
                               ("probes", probe_plans(), _run),
-                              ("landau", landau_plans(), _run_landau)):
+                              ("landau", landau_plans(), _run_landau),
+                              ("products", product_plans(), _run)):
         count, hexdigest = digest(plans, run)
         print(f"{label} commands={count} sha256={hexdigest}", flush=True)
 

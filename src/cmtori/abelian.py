@@ -7,7 +7,7 @@ canonical generators, so results are exactly reproducible across runs.
 
 A subgroup of A = Z^r / D Z^r is a lattice between D Z^r and Z^r.  Every
 operation on finite abelian groups (subgroups, images, kernels,
-cokernels, direct sums and ``factor_through``) is one triangular basis of
+cokernels and ``factor_through``) is one triangular basis of
 such a lattice, its Hermite form modulo D (``_echelon``), and one Smith
 form of an r x r matrix for the quotient of two of them (``_quotient``).
 Kernels and cokernels are taken of a family of maps f_i : X -> B_i out
@@ -16,7 +16,8 @@ moduli of the B_i (``_joint``): the B_i are never summed into one
 canonical group first.  Kernels and ``factor_through`` use the graph
 lattice of that map (``_graph``), cokernels its image.  Smith
 normal form of a whole matrix (``smith_normal_form``) serves the
-unbounded lattices of ``kernel_basis`` and ``solve_matrix``.  The torsion
+unbounded lattices of ``kernel_basis`` and ``solve_matrix``.  Direct
+sums need no lattice: ``direct_sum`` merges elementary divisors.  The torsion
 of a large cokernel, whose exponent is known, is found by numpy
 eliminations modulo prime powers (``cokernel_torsion``), exact by the
 same invariant-factor theory.
@@ -588,9 +589,31 @@ def factor_through(incl: AbHom, f: AbHom) -> AbHom:
 
 
 def direct_sum(parts) -> FinAb:
-    """The direct sum of finite abelian groups, in invariant-factor form."""
-    factors = tuple(d for p in parts for d in p.factors)
-    return FinAb(_quotient(identity(len(factors)), _echelon((), factors))[0])
+    """The direct sum of finite abelian groups, in invariant-factor form.
+
+    A finite abelian group is fixed by its elementary divisors, the prime
+    powers of a decomposition into cyclic groups of prime-power order, and
+    those of a sum are the summands' together: the p-parts of each
+    summand's invariant factors.  In d_1 | ... | d_k the p-parts of d_k,
+    d_(k-1), ... are the powers of p among the elementary divisors, largest
+    first, then 1.  So no elimination is needed: the k-th largest invariant
+    factor is the product over p of the k-th largest power of p.  Each
+    distinct invariant factor of the summands is factored once, by
+    ``factorize``, so each must be below 2^63.
+    """
+    counts = {}
+    for part in parts:
+        for d in part.factors:
+            counts[d] = counts.get(d, 0) + 1
+    powers = {}
+    for d, count in counts.items():
+        for p, e in factorize(d).items():
+            powers.setdefault(p, []).extend([p ** e] * count)
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for chain in powers.values():
+        for k, q in enumerate(sorted(chain, reverse=True)):
+            factors[k] *= q
+    return FinAb(tuple(reversed(factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ and exactness of the four-term sequence is the inclusion W <= K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,11 +46,9 @@ from .datum import NormTorusDatum, TamagawaReport, TorusPair
 from .errors import DatumError, FastPathUnavailableError, InternalCheckError
 from .groups import (
     FiniteGroup,
-    ProductGroup,
     Subgroup,
     closure,
     conjugation_orbit,
-    direct_product,
     induced_abelian_hom,
     intersect,
 )
@@ -328,41 +326,57 @@ class ProductReport:
     primitive_inclusion: bool     # product of factor primitive parts embeds
 
 
-def product_datum(data, extras=()) -> tuple[NormTorusDatum, ProductGroup]:
-    """The combined datum on the direct product of the factor groups."""
-    prod = direct_product(*(d.group for d in data))
-    g = prod.group
-    idents = tuple(d.group.identity for d in data)
-    pairs = []
-    for i, d in enumerate(data):
-        pair = d.pairs[0]
-        inner_elems = [x for x in g.elements()
-                       if prod.unpack(x)[i] in pair.inner]
-        outer_elems = [x for x in g.elements()
-                       if prod.unpack(x)[i] in pair.outer]
-        pairs.append(TorusPair(Subgroup(g, tuple(inner_elems)),
-                               Subgroup(g, tuple(outer_elems))))
-    iota = None
-    if all(d.is_cm for d in data):
-        iota = prod.pack(tuple(d.iota for d in data))
-    return NormTorusDatum(
-        group=g,
-        pairs=tuple(pairs),
-        iota=iota,
-        decomposition_groups=tuple(extras),
-        include_all_cyclic=True,
-        declared_complete=all(d.declared_complete for d in data),
-    ), prod
-
-
 def product_tamagawa(data, extras=()) -> ProductReport:
-    """Multiplicativity pipeline for factorwise-Galois data.
+    """Multiplicativity pipeline for factorwise-Galois data, as a direct sum
+    of factor reports: the product group G = prod G_i is never built.
 
-    Requires each factor to be a single pair with trivial inner subgroup,
-    cyclic relative quotient, and only cyclic decomposition groups; a
-    non-cyclic decomposition group withholds the product formula.
+    Each factor carries one pair (1, Ntilde_i) with Ntilde_i / 1 cyclic and
+    only cyclic decomposition groups; a non-cyclic one withholds the
+    product formula.  The combined datum on G has the pairs
+    inner_i = {x : x_i = 1} <= outer_i = {x : x_i in Ntilde_i}, every cyclic
+    subgroup of G, iota = (iota_i) when every factor is CM, and one
+    decomposition group prod_i D_i for each tuple (D_1, ..., D_r) in
+    ``extras``.  It is exact when every factor is declared complete.  Its
+    report is the sum of the reports of the factors widened to every
+    cyclic subgroup and their D_i:
+
+    - c is block-diagonal.  Write G = G_i x G' (G' the other factors) and
+      take the coset representatives (t, 1) of G / outer_i, t over
+      G_i / Ntilde_i.  Then (x_i, x')(t, 1) = (t', 1)(t'^-1 x_i t, x'), so
+      the transfer of (x_i, x') into outer_i = Ntilde_i x G', taken modulo
+      inner_i = 1 x G', is the factor's transfer V_i(x_i).  So
+      G^ab = (+) G_i^ab, c = (+) c_i, H^1 = coker c = (+) coker c_i,
+      K = ker c = (+) K_i and H^1(norm one) = (+) Ntilde_i^ab.
+    - W from the cyclic subgroups.  A cyclic C = <g> meets outer_i in the
+      g^k with g_i^k in Ntilde_i and inner_i in those with g_i^k = 1, so
+      (C meet outer_i) / (C meet inner_i) is <g_i> meet Ntilde_i, of order
+      n_i, and the transfer x -> x^[C : C meet outer_i] sends g to a
+      generator of it.  The common local kernel is <g^L>, L = lcm_i n_i,
+      with image L [g] = (L [g_i])_i in G^ab.  Each L [g_i] is a multiple
+      of n_i [g_i], the image of factor i's local kernel over <g_i>; and
+      g = (1, ..., g_i, ..., 1) has L = n_i.  So the cyclic subgroups of G
+      give W_cyc = (+) W_i^cyc, with W_i^cyc factor i's W over every cyclic
+      subgroup of G_i.  <iota> is cyclic.
+    - W from an extra D = prod D_j.  As for c, the local transfer of pair
+      i is V_i on the D_i^ab summand of D^ab = (+) D_j^ab, into
+      (D_i meet Ntilde_i)^ab, and zero on the others, so the common local
+      kernel is (+)_i ker(V_i on D_i^ab) and its image in G^ab is the sum
+      of the factors' images over D_i.
+    - So W = (+) W'_i, with W'_i the W of factor i widened to every cyclic
+      subgroup and its D_i.  The primitive order |G^ab| / |W| and tau are
+      products, and Sha^2 = K / W = (+) K_i / W'_i.  W'_i <= K_i is
+      checked in each factor, and four-term exactness in the combined
+      report.
+
+    ``multiplicative`` says whether the combined tau is the product of
+    the factor taus.  ``primitive_inclusion`` says whether the product of
+    the factor primitive parts Ann(W_i) lies in Ann(W).  The pull-back of
+    Ann(W_i) along G -> G_i lies in Ann(W) exactly when the projection
+    W'_i of W lies in W_i.  Since W_i <= W'_i, that holds exactly when the
+    two primitive orders agree.
     """
     data = tuple(data)
+    extras = tuple(extras)
     if not data:
         raise DatumError("need at least one factor")
     for k, d in enumerate(data):
@@ -379,37 +393,31 @@ def product_tamagawa(data, extras=()) -> ProductReport:
                     "factor has a non-cyclic decomposition group; "
                     "product formula withheld",
                     factor=k, subgroup=list(dec.elements))
-    reports = tuple(tamagawa(d) for d in data)
-    product_tau = Fraction(1)
-    for r in reports:
+    for extra in extras:
+        if len(extra) != len(data):
+            raise DatumError("an extra decomposition group needs one subgroup per factor",
+                             factors=len(data), subgroups=len(extra))
+    reports, widened = [], []
+    for k, d in enumerate(data):
+        wide = replace(d, include_all_cyclic=True,
+                       decomposition_groups=d.decomposition_groups
+                       + tuple(extra[k] for extra in extras))
+        reports.append(tamagawa(d))
+        widened.append(reports[-1] if wide == d else tamagawa(wide))
+    product_tau, tau, prim = Fraction(1), Fraction(1), 1
+    for r, w in zip(reports, widened):
         product_tau *= r.tau
-    if len(data) == 1:
-        combined = reports[0]
-        return ProductReport(reports, product_tau, combined,
-                             combined.tau == product_tau, True)
-    combined_datum, prod = product_datum(data, extras)
-    combined = tamagawa(combined_datum)
-    inclusion = _primitive_inclusion(data, combined_datum, prod)
-    return ProductReport(reports, product_tau, combined,
-                         combined.tau == product_tau, inclusion)
-
-
-def _primitive_inclusion(data, combined_datum, prod: ProductGroup) -> bool:
-    """Whether the product of the factor primitive parts lies in the combined one.
-
-    With W and W_i the constraints of the combined datum and of factor i,
-    the pull-back of Ann(W_i) along the projection G -> G_i lies in
-    Ann(W) exactly when nat_i(W) <= Ann Ann W_i = W_i.
-    """
-    g_ab = group_abelianization(combined_datum.group)
-    w = primitive_part(combined_datum).constraint
-    for i, d in enumerate(data):
-        f_ab = group_abelianization(d.group)
-        # natural map G^ab -> G_i^ab induced by the projection
-        cols = [f_ab.images[prod.unpack(sec)[i]] for sec in g_ab.sections]
-        nat = AbHom(g_ab.group, f_ab.group,
-                    tuple(tuple(col[r] for col in cols) for r in range(f_ab.group.rank)))
-        _, (mod_wi,) = cokernel_of_hom([primitive_part(d).constraint.inclusion])
-        if not mod_wi.compose(nat).compose(w.inclusion).is_zero:
-            return False
-    return True
+        tau *= w.tau
+        prim *= w.primitive_order
+    combined = TamagawaReport(
+        h1_torus=direct_sum([w.h1_torus for w in widened]),
+        h1_norm_one=direct_sum([w.h1_norm_one for w in widened]),
+        primitive_order=prim,
+        sha2=direct_sum([w.sha2 for w in widened]),
+        tau=tau,
+        n_k=prim if all(d.is_cm for d in data) else None,
+        exact=all(d.declared_complete for d in data),
+    )
+    inclusion = all(r.primitive_order == w.primitive_order
+                    for r, w in zip(reports, widened))
+    return ProductReport(tuple(reports), product_tau, combined, tau == product_tau, inclusion)

@@ -8,6 +8,7 @@ Pontryagin duals, as the engine once did: ker(dual c), the annihilator
 Ann(W) built on the double cosets D\\G/Ntilde, and Ann(W) / im(dual c).
 """
 
+from references import product_datum
 from cmtori.abelian import (
     AbElement,
     AbHom,
@@ -20,7 +21,7 @@ from cmtori.abelian import (
     subgroup_of,
 )
 from cmtori.datum import TorusPair
-from cmtori.engine import _combined_transfer, product_datum
+from cmtori.engine import _combined_transfer
 from cmtori.groups import (
     FiniteGroup,
     Subgroup,

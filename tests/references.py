@@ -11,29 +11,38 @@ compare those with:
 - the norm of the conjugation action on H^ab, for H normal in G;
 - H^1 of a CM torus from the parities of CM types;
 - the commutator subgroup, generated by all commutators;
-- the p of a Landau pair, as the squarefree part of q - 1.
+- the p of a Landau pair, as the squarefree part of q - 1;
+- the direct sum of finite abelian groups by lattice elimination;
+- the combined datum of a product pipeline on the Cayley table of the
+  product group, with its report and primitive-inclusion test.
 
 It also holds the inverse of an element and the exponent of a group,
 which only tests read.
 """
 
 import math
+from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 
-from cmtori.abelian import AbHom, FinAb
+from cmtori.abelian import AbHom, FinAb, _echelon, _quotient, cokernel_of_hom, identity
+from cmtori.datum import NormTorusDatum, TorusPair
+from cmtori.engine import ProductReport, primitive_part, tamagawa
 from cmtori.errors import ConstructionError, DatumError, InternalCheckError
 from cmtori.groups import (
     FiniteGroup,
+    ProductGroup,
     Subgroup,
     coset_index,
     cosets,
+    direct_product,
     is_normal,
     quotient_group,
     subgroup_generated,
 )
 from cmtori.landau import factorize
-from cmtori.transfer import canonical_section, subgroup_abelianization
+from cmtori.transfer import canonical_section, group_abelianization, subgroup_abelianization
 
 
 def inverse(group: FiniteGroup, g: int) -> int:
@@ -224,3 +233,71 @@ def squarefree_part(n: int) -> int:
 def p_from_q(q: int) -> int:
     """The p of a Landau pair is the squarefree part of q - 1."""
     return squarefree_part(q - 1)
+
+
+def direct_sum_by_elimination(parts) -> FinAb:
+    """The direct sum of finite abelian groups, as the quotient of Z^k by
+    the lattice of the concatenated invariant factors."""
+    factors = tuple(d for p in parts for d in p.factors)
+    return FinAb(_quotient(identity(len(factors)), _echelon((), factors))[0])
+
+
+def product_datum(data, extras=()) -> tuple[NormTorusDatum, ProductGroup]:
+    """The combined datum on the Cayley table of the product of the factor
+    groups; each extra (D_1, ..., D_r) gives the decomposition group
+    prod D_i."""
+    prod = direct_product(*(d.group for d in data))
+    g = prod.group
+    pairs = []
+    for i, d in enumerate(data):
+        pair = d.pairs[0]
+        inner_elems = [x for x in g.elements() if prod.unpack(x)[i] in pair.inner]
+        outer_elems = [x for x in g.elements() if prod.unpack(x)[i] in pair.outer]
+        pairs.append(TorusPair(Subgroup(g, tuple(inner_elems)),
+                               Subgroup(g, tuple(outer_elems))))
+    decomposition_groups = tuple(
+        Subgroup(g, tuple(sorted(prod.pack(x) for x in iter_product(*(s.elements for s in extra)))))
+        for extra in extras)
+    iota = None
+    if all(d.is_cm for d in data):
+        iota = prod.pack(tuple(d.iota for d in data))
+    return NormTorusDatum(
+        group=g,
+        pairs=tuple(pairs),
+        iota=iota,
+        decomposition_groups=decomposition_groups,
+        include_all_cyclic=True,
+        declared_complete=all(d.declared_complete for d in data),
+    ), prod
+
+
+def primitive_inclusion(data, combined_datum, prod: ProductGroup) -> bool:
+    """Whether the product of the factor primitive parts lies in the combined one.
+
+    With W and W_i the constraints of the combined datum and of factor i,
+    the pull-back of Ann(W_i) along the projection G -> G_i lies in
+    Ann(W) exactly when nat_i(W) <= Ann Ann W_i = W_i.
+    """
+    g_ab = group_abelianization(combined_datum.group)
+    w = primitive_part(combined_datum).constraint
+    for i, d in enumerate(data):
+        f_ab = group_abelianization(d.group)
+        # natural map G^ab -> G_i^ab induced by the projection
+        cols = [f_ab.images[prod.unpack(sec)[i]] for sec in g_ab.sections]
+        nat = AbHom(g_ab.group, f_ab.group,
+                    tuple(tuple(col[r] for col in cols) for r in range(f_ab.group.rank)))
+        _, (mod_wi,) = cokernel_of_hom([primitive_part(d).constraint.inclusion])
+        if not mod_wi.compose(nat).compose(w.inclusion).is_zero:
+            return False
+    return True
+
+
+def table_product_report(data, extras=()) -> ProductReport:
+    """``engine.product_tamagawa`` on the Cayley table of the product group."""
+    data = tuple(data)
+    reports = tuple(tamagawa(d) for d in data)
+    product_tau = math.prod((r.tau for r in reports), start=Fraction(1))
+    combined_datum, prod = product_datum(data, extras)
+    combined = tamagawa(combined_datum)
+    return ProductReport(reports, product_tau, combined, combined.tau == product_tau,
+                         primitive_inclusion(data, combined_datum, prod))

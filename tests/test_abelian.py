@@ -26,6 +26,7 @@ from cmtori.abelian import (
 from cmtori.errors import InternalCheckError
 
 from character_side import annihilator, dual_group, dual_hom, pairing
+from references import direct_sum_by_elimination
 
 
 def det(m):
@@ -463,6 +464,22 @@ def test_direct_sum_against_enumeration():
         sums = [sum((inj(x) for inj, x in zip(injections, xs)), total.zero())
                 for xs in iter_product(*(list(p.elements()) for p in parts))]
         assert len(set(sums)) == total.order == ds.order
+
+
+def test_direct_sum_matches_the_elimination():
+    """The elementary-divisor merge gives the invariant factors of the
+    lattice elimination: on seeded lists with large and coprime factors,
+    the empty list and single groups."""
+    rng = random.Random(20261021)
+    assert direct_sum([]) == direct_sum_by_elimination([]) == FinAb(())
+    cases = [[FinAb(())], [FinAb((2, 6, 12))], [FinAb((2 ** 62,))], [FinAb((3, 3 * 2 ** 61))]]
+    cases += [[_random_finab(rng, 10 ** 6)] for _ in range(20)]
+    for _ in range(60):
+        cases.append([_random_finab(rng, rng.choice((50, 10 ** 4, 10 ** 9)))
+                      for _ in range(rng.randrange(0, 7))])
+    cases.append([FinAb((2,))] * 40 + [FinAb((4,)), FinAb((3, 9))] * 5)
+    for parts in cases:
+        assert direct_sum(parts) == direct_sum_by_elimination(parts), parts
 
 
 def test_quotient_rejects_an_inner_lattice_outside_the_outer_one():

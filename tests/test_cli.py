@@ -306,6 +306,24 @@ def test_product_pipeline(tmp_path):
     assert payload["primitive_inclusion"] is True
 
 
+def test_product_of_four_landau_quaternion_data(tmp_path):
+    """Q8^4 has 4,096 elements, past the table cap; the product pipeline
+    never builds it and reports tau = 2^-4 multiplicatively."""
+    from cmtori.constructors import q8_landau
+    from cmtori.landau import disjoint_family, search
+
+    files = []
+    for k, pair in enumerate(disjoint_family(search(10 ** 4, 100).pairs, 4)):
+        files.append(tmp_path / f"q8_{k}.json")
+        files[-1].write_text(json.dumps(formats.datum_to_json(q8_landau(pair.p, pair.q).datum)))
+    code, out = run_cli(["tau", "product", *map(str, files)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["product_tau"] == payload["combined"]["tau"] == {"num": 1, "den": 16}
+    assert payload["multiplicative"] is True
+    assert payload["primitive_inclusion"] is True
+
+
 def test_classify(tmp_path):
     path = tmp_path / "c4.json"
     path.write_text(json.dumps(formats.datum_to_json(cyclic_cm(4))))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -19,22 +20,27 @@ from corpus import (
     two_distinct_imag_quadratics,
     z4xz4_product,
 )
-from references import h1_from_cm_types, is_cyclic_relative_quotient
+from references import (
+    h1_from_cm_types,
+    is_cyclic_relative_quotient,
+    product_datum,
+    table_product_report,
+)
 from cmtori import engine
 from cmtori.cohomology import ono_tamagawa, primitive_part_oracle, torus_invariants
-from cmtori.constructors import q8_landau
+from cmtori.constructors import certify_family, cyclotomic, q8_landau
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import (
     NK_AT_MOST_TWO,
     NK_ONE,
     NK_UNKNOWN,
     PrimitivePart,
+    ProductReport,
     density_bound,
     h1_norm_one,
     h1_torus,
     imaginary_quadratic_count,
     primitive_part,
-    product_datum,
     product_tamagawa,
     sha2,
     tamagawa,
@@ -55,6 +61,7 @@ from cmtori.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
+from cmtori.landau import disjoint_family, search
 
 
 @pytest.mark.parametrize("name,datum,expected", [(n, d, e) for n, d, e in cm_corpus()])
@@ -97,9 +104,9 @@ def _s4_non_normal_inner_data():
 
 
 def _false_branch_product():
+    """Two quaternion factors with the whole product as a decomposition group."""
     data = [q8_landau(5, 181).datum, q8_landau(17, 613).datum]
-    prod = direct_product(*(d.group for d in data))
-    return data, (full_subgroup(prod.group),)
+    return data, (tuple(full_subgroup(d.group) for d in data),)
 
 
 def test_engine_matches_character_side_reference():
@@ -330,6 +337,80 @@ def test_product_tamagawa_not_multiplicative():
 def test_product_tamagawa_rejects_noncyclic_decomposition_group():
     with pytest.raises(DatumError):
         product_tamagawa([q8_cm(include_group=True), cyclic_cm(4)])
+
+
+# disjoint Landau pairs enough for every family below
+LANDAU_PAIRS = search(10 ** 4, 100).pairs
+
+
+def _usable_factors():
+    """The distinct corpus and fuzz data that ``product_tamagawa`` accepts."""
+    out = []
+    for d in [d for _, d, _ in cm_corpus()] + fuzz_data():
+        try:
+            product_tamagawa([d])
+        except (DatumError, FastPathUnavailableError):
+            continue
+        out.append(d)
+    return list(dict.fromkeys(out))
+
+
+def test_product_tamagawa_matches_the_table_reference():
+    """The direct sum of factor reports against the engine on the Cayley
+    table of the product group, field by field: every ordered pair of
+    usable factors, the same pairs with ``include_all_cyclic`` off on the
+    first factor, the false-branch product, a quaternion triple,
+    cyclotomic(5) x cyclotomic(7) and quaternion x cyclotomic."""
+    factors = _usable_factors()
+    pairs = [[a, b] for a in factors for b in factors]
+    assert all(a.group.order * b.group.order <= 512 for a, b in pairs)
+    products = [(pair, ()) for pair in pairs]
+    products += [([replace(a, include_all_cyclic=False), b], ()) for a, b in pairs]
+    triple = [q8_landau(pair.p, pair.q).datum for pair in disjoint_family(LANDAU_PAIRS, 3)]
+    products += [_false_branch_product(), (triple, ()),
+                 ([cyclotomic(5).datum, cyclotomic(7).datum], ()),
+                 ([triple[0], cyclotomic(7).datum], ())]
+    non_multiplicative = 0
+    for data, extras in products:
+        got, want = product_tamagawa(data, extras), table_product_report(data, extras)
+        for field in fields(ProductReport):
+            assert getattr(got, field.name) == getattr(want, field.name), (field.name, data)
+        non_multiplicative += not got.multiplicative
+    assert non_multiplicative > 0
+
+
+@pytest.mark.parametrize("r", [4, 8])
+def test_landau_families_past_the_table_cap(r):
+    family = disjoint_family(LANDAU_PAIRS, r)
+    rep = certify_family(family)
+    predicted = Fraction(1)
+    for pair in family:
+        predicted *= q8_landau(pair.p, pair.q).predicted_tau
+    assert rep.combined.tau == rep.product_tau == predicted == Fraction(1, 2 ** r)
+    assert rep.multiplicative and rep.primitive_inclusion
+    assert rep.combined.h1_torus.factors == rep.combined.h1_norm_one.factors == (2,) * r
+    assert rep.combined.sha2.factors == (2,) * (2 * r)
+    assert rep.combined.exact and rep.combined.n_k == 4 ** r
+
+
+def test_product_tamagawa_single_factor_uses_its_extras():
+    """One factor goes through the same sum: the whole Q8 as an extra
+    decomposition group makes its primitive part trivial."""
+    d = q8_landau(5, 181).datum
+    rep = product_tamagawa([d], ((full_subgroup(d.group),),))
+    assert rep.product_tau == Fraction(1, 2) and rep.combined.tau == 2
+    assert not rep.multiplicative and not rep.primitive_inclusion
+    narrow = replace(cyclic_cm(4), include_all_cyclic=False)
+    rep = product_tamagawa([narrow])
+    assert rep.combined == tamagawa(replace(narrow, include_all_cyclic=True))
+    assert rep.primitive_inclusion == (rep.combined.primitive_order
+                                       == rep.factor_reports[0].primitive_order)
+
+
+def test_product_tamagawa_rejects_an_extra_of_the_wrong_length():
+    data, ((whole, _),) = _false_branch_product()
+    with pytest.raises(DatumError, match="one subgroup per factor"):
+        product_tamagawa(data, ((whole,),))
 
 
 def test_report_n_k():
