@@ -1,14 +1,14 @@
 """Cost of the product pipeline on quaternion data of disjoint Landau families.
 
-For each family size r, a fresh interpreter takes the first r pairs of
-``disjoint_family(search(10**4, 100).pairs, r)``, builds their quaternion
-data with ``q8_landau`` (``data_s``, where ``factorize`` on Q does the
-work), then times one call of ``engine.product_tamagawa`` on them
-(``seconds``).  It records tau, whether tau is the product of the
-factors' predicted tau, the two flags of the report and the peak
-resident set of the process after the call.  The sizes run in order, and
-the script stops after the first size whose median ``seconds`` exceeds
-``--stop`` (60 s); 1,431 is every distinct p of ``search(10**4, 100)``.
+For each family size r in ``SIZES``, a fresh interpreter builds the
+``q8_landau`` data of the first r pairs of
+``disjoint_family(search(10**4, 100).pairs, r)``, then times one call of
+``engine.product_tamagawa`` on them (``seconds``).  It records tau (as
+num/den), whether tau is the product of the factors' predicted tau, the
+two flags of the report and the peak resident set of the process after
+the call.  The sizes run in order, and the script stops after the first
+size whose median ``seconds`` exceeds ``STOP_S`` (a minute); 1,431 is
+every distinct p of ``search(10**4, 100)``.
 
 With ``--parent-src``, the sizes 1, 2 and 3 (the ones the Cayley-table
 route of older checkouts handles) also run on that ``src/`` directory, in
@@ -41,15 +41,7 @@ from tau_cost import _peak_rss_mb
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1, 2, 3, 4, 8, 16, 64, 256, 1024, 1431)
 PARENT_SIZES = (1, 2, 3)
-
-
-def tau_text(tau: Fraction) -> str:
-    """A power of 2 as 2^k, anything else as num/den."""
-    for num, den, sign in ((tau.numerator, tau.denominator, "-"),
-                           (tau.denominator, tau.numerator, "")):
-        if num == 1 and den & (den - 1) == 0:
-            return f"2^{sign}{den.bit_length() - 1}" if den > 1 else "1"
-    return str(tau)
+STOP_S = 60.0
 
 
 def child(src, r):
@@ -60,20 +52,18 @@ def child(src, r):
     from cmtori.landau import disjoint_family, search
 
     family = disjoint_family(search(10 ** 4, 100).pairs, r)
-    start = time.perf_counter()
     results = [q8_landau(pair.p, pair.q) for pair in family]
-    data_s = time.perf_counter() - start
     start = time.perf_counter()
     report = product_tamagawa([result.datum for result in results])
     seconds = time.perf_counter() - start
     predicted = Fraction(1)
     for result in results:
         predicted *= result.predicted_tau
-    print(json.dumps({"tau": tau_text(report.combined.tau),
+    print(json.dumps({"tau": str(report.combined.tau),
                       "predicted": report.combined.tau == predicted,
                       "multiplicative": report.multiplicative,
                       "primitive_inclusion": report.primitive_inclusion,
-                      "data_s": data_s, "seconds": seconds,
+                      "seconds": seconds,
                       "peak_rss_mb": _peak_rss_mb()}))
 
 
@@ -89,13 +79,12 @@ def _row(r, samples):
     return {"r": r, "tau": first["tau"], "predicted": first["predicted"],
             "multiplicative": first["multiplicative"],
             "primitive_inclusion": first["primitive_inclusion"],
-            "data_s": _quartiles([s["data_s"] for s in samples]),
             "seconds": _quartiles([s["seconds"] for s in samples]),
             "peak_rss_mb": _quartiles([s["peak_rss_mb"] for s in samples]),
             "runs": len(samples)}
 
 
-def measure(sizes, runs, stop, parent_src=None):
+def measure(sizes, runs, parent_src=None):
     """(rows of this checkout, rows of the parent ``src/``), one per size."""
     src = ROOT / "src"
     rows, parent_rows = [], []
@@ -111,7 +100,7 @@ def measure(sizes, runs, stop, parent_src=None):
             parent_rows.append(_row(r, theirs))
             line += f" (parent {parent_rows[-1]['seconds']['median']:.4f})"
         print(line + f" tau {rows[-1]['tau']}", flush=True)
-        if rows[-1]["seconds"]["median"] > stop:
+        if rows[-1]["seconds"]["median"] > STOP_S:
             break
     return rows, parent_rows
 
@@ -119,14 +108,12 @@ def measure(sizes, runs, stop, parent_src=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--stop", type=float, default=60.0)
     parser.add_argument("--parent-src", type=Path)
     parser.add_argument("--out", default=str(ROOT / "BENCH_product.json"))
     args = parser.parse_args(argv)
     for src in filter(None, (ROOT / "src", args.parent_src)):
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)], check=True)
-    rows, parent_rows = measure(args.sizes, args.runs, args.stop, args.parent_src)
+    rows, parent_rows = measure(SIZES, args.runs, args.parent_src)
     record = {
         "what": "engine.product_tamagawa on the q8_landau data of the first r pairs of "
                 "disjoint_family(search(10**4, 100).pairs, r), one fresh interpreter per run",

@@ -1,6 +1,8 @@
 """Exact arithmetic with finite abelian groups.
 
-All arithmetic is on arbitrary-precision integers.  Groups are kept in
+All arithmetic is on arbitrary-precision integers, except that
+``direct_sum`` factors each invariant factor of its summands and so needs
+them below 2^63.  Groups are kept in
 invariant-factor form (d_1 | d_2 | ... | d_k, each >= 2, empty tuple =
 trivial group) and all homomorphisms are integer matrices relative to the
 canonical generators, so results are exactly reproducible across runs.
