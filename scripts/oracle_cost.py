@@ -3,14 +3,17 @@
 For each case below, a fresh interpreter builds the character lattices
 of a datum with ``cmtori.lattice.character_lattices`` and, for the
 degree-2 cases, computes H^2 of one of them with ``cmtori.cohomology``,
-timing each call on its own (cold caches, as for a CLI command).  Each
-case is run ``--runs`` times in turn; the script writes the median and
-quartiles of the lattice time (``lattice_s``) and of the H^2 time, the
-peak resident set of the process (``ru_maxrss``) after and before the
-H^2 call, with the shape of the matrix d_1 of the presentation
-resolution that the oracle eliminates (``d1_shape``) and, for
-comparison, the shape d_1 has on the normalized bar resolution
-(``bar_d1_shape``), to ``BENCH_oracle_q2.json``:
+timing each call on its own (cold caches, as for a CLI command).  For
+every case with |G| <= 64 (the degree-1 cap of the oracle), a second
+fresh interpreter times ``verify_structure`` on the datum, all of
+``oracle verify`` but its input and output, under a degree-2 cap of 64
+(``verify_s``).  Each case is run ``--runs`` times in turn; the script
+writes the median and quartiles of the lattice time (``lattice_s``), of
+the H^2 time and of ``verify_s``, the peak resident set of the process
+(``ru_maxrss``) after and before the H^2 call, with the shape of the
+matrix d_1 of the presentation resolution that the oracle eliminates
+(``d1_shape``) and, for comparison, the shape d_1 has on the normalized
+bar resolution (``bar_d1_shape``), to ``BENCH_oracle_q2.json``:
 
     python scripts/oracle_cost.py --runs 5
 
@@ -44,6 +47,7 @@ ORDERS = (4, 8, 12, 16, 24)
 FAMILY_ORDERS = (32, 48, 64)
 LATTICE_ORDERS = (128,)
 MAX_ORDER_Q2 = 64
+MAX_ORDER_VERIFY = 64   # the oracle's degree-1 cap
 
 
 def _family(family, n):
@@ -88,15 +92,20 @@ def _datum(label):
     return NormTorusDatum(g, (pair,), iota=iota), "torus"
 
 
-def child(label):
-    """Runs in a fresh interpreter: the lattices and one H^2, each timed;
-    prints one JSON line."""
+def child(label, verify=False):
+    """Runs in a fresh interpreter: the lattices and one H^2, each timed,
+    or with ``verify`` the structure report alone; prints one JSON line."""
     sys.path.insert(0, str(ROOT / "src"))
-    from cmtori.cohomology import CohomologyBudget, cohomology
+    from cmtori.cohomology import CohomologyBudget, cohomology, verify_structure
     from cmtori.groups import presentation
     from cmtori.lattice import character_lattices
 
     datum, kind = _datum(label)
+    if verify:
+        start = time.perf_counter()
+        passed = verify_structure(datum, CohomologyBudget(max_order_q2=MAX_ORDER_Q2)).all_passed
+        print(json.dumps({"verify_s": time.perf_counter() - start, "all_passed": passed}))
+        return
     start = time.perf_counter()
     lattice = getattr(character_lattices(datum), kind)
     out = {"lattice_s": time.perf_counter() - start, "rank": lattice.rank}
@@ -138,11 +147,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     samples = {label: [] for label, _, _ in CASES}
+    verify = {label: [] for label, order, _ in CASES if order <= MAX_ORDER_VERIFY}
+
+    def run(*argv):
+        out = subprocess.run([sys.executable, __file__, "--child", *argv],
+                             capture_output=True, text=True, check=True, env=env)
+        return json.loads(out.stdout.splitlines()[-1])
+
     for _ in range(args.runs):
         for label, _, _ in CASES:
-            out = subprocess.run([sys.executable, __file__, "--child", label],
-                                 capture_output=True, text=True, check=True, env=env)
-            samples[label].append(json.loads(out.stdout.splitlines()[-1]))
+            samples[label].append(run(label))
+            if label in verify:
+                verify[label].append(run(label, "verify"))
     rows = []
     for label, order, h2 in CASES:
         runs = samples[label]
@@ -153,14 +169,19 @@ def main(argv=None):
                        h2=runs[0]["h2"],
                        seconds=_quartiles([r["seconds"] for r in runs]),
                        base_rss_mb=_quartiles([r["base_rss_mb"] for r in runs]))
+        if label in verify:
+            row.update(verify_s=_quartiles([r["verify_s"] for r in verify[label]]),
+                       all_passed=all(r["all_passed"] for r in verify[label]))
         row.update(peak_rss_mb=_quartiles([r["peak_rss_mb"] for r in runs]), runs=len(runs))
         rows.append(row)
         degree2 = (f"d1={row['d1_shape']} H2={row['h2']} {row['seconds']['median']:.3f} s "
                    if h2 else "")
+        checks = f"verify {row['verify_s']['median']:.3f} s " if label in verify else ""
         print(f"{label:24s} |G|={order:3d} lattices {row['lattice_s']['median']:.3f} s "
-              f"{degree2}peak {row['peak_rss_mb']['median']:.1f} MiB")
+              f"{degree2}{checks}peak {row['peak_rss_mb']['median']:.1f} MiB")
     record = {
-        "what": "character_lattices and cohomology(lattice, 2) from a cold start, per case",
+        "what": ("character_lattices and cohomology(lattice, 2) from a cold start, per case; "
+                 "verify_structure from a cold start for |G| <= 64"),
         "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                     "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
@@ -170,7 +191,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        child(sys.argv[2])
+    if len(sys.argv) in (3, 4) and sys.argv[1] == "--child":
+        child(sys.argv[2], verify=sys.argv[3:] == ["verify"])
     else:
         main()

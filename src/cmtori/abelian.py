@@ -18,8 +18,8 @@ moduli of the B_i (``_joint``): the B_i are never summed into one
 canonical group first.  Kernels and ``factor_through`` use the graph
 lattice of that map (``_graph``), cokernels its image.  Smith
 normal form of a whole matrix (``smith_normal_form``) serves the
-unbounded lattices of ``kernel_basis`` and ``solve_matrix``.  Direct
-sums need no lattice: ``direct_sum`` merges elementary divisors.  The torsion
+unbounded lattices of ``kernel_basis``.  Direct sums need no lattice:
+``direct_sum`` merges elementary divisors.  The torsion
 of a large cokernel, whose exponent is known, is found by numpy
 eliminations modulo prime powers (``cokernel_torsion``), exact by the
 same invariant-factor theory.
@@ -43,23 +43,8 @@ Matrix = tuple[tuple[int, ...], ...]
 # plain integer matrices (tuples of row tuples)
 # ---------------------------------------------------------------------------
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        out.append(tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)))
-    return tuple(out)
 
 
 def mat_vec(a: Matrix, v):
@@ -217,34 +202,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
         u_inv=tuple(tuple(r) for r in u_inv),
     )
     return form
-
-
-def solve_matrix(a: Matrix, b: Matrix):
-    """One integer solution x of a @ x = b, or None if none exists."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    bc = len(b[0]) if b else 0
-    if len(b) != nr:
-        raise ValueError("right-hand side has wrong height")
-    if nr == 0:
-        return zeros(nc, bc)
-    s = smith_normal_form(a)
-    ub = mat_mul(s.u, b)
-    diag = s.diagonal
-    y = [[0] * bc for _ in range(nc)]
-    for i in range(nr):
-        di = diag[i] if i < len(diag) else 0
-        for j in range(bc):
-            val = ub[i][j]
-            if di == 0:
-                if val != 0:
-                    return None
-            else:
-                if val % di != 0:
-                    return None
-                if i < nc:
-                    y[i][j] = val // di
-    return mat_mul(s.v, tuple(tuple(r) for r in y))
 
 
 def kernel_basis(a: Matrix, cols: int) -> Matrix:

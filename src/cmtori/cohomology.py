@@ -19,7 +19,12 @@ degree 3 is not supported.  The exact divisibility of a representative
 d_(q-1) v / p^a, checked in ``abelian._local_form``, makes it a cocycle;
 ``class_of`` replays the recorded row operations on a cocycle to read its
 coordinates.  Restriction to a subgroup goes through the chain map
-"letter -> G-tree word" (``restrict_cochain``).
+"letter -> G-tree word" (``restrict_cochain``).  The connecting map of
+0 -> Z -> torus -> norm-one -> 0 lifts by the section and reads off by the
+retraction that ``lattice.character_lattices`` certifies with the
+sequence, so nothing is solved per decomposition group;
+``verify_structure`` builds the sequence once and hands it to
+``primitive_part_oracle`` and ``xi_obstruction``.
 
 This module is the verification oracle: nothing here uses the transfer
 formulas of the fast path, except that ``verify_structure`` compares its
@@ -43,16 +48,15 @@ from .abelian import (
     cokernel_of_hom,
     cokernel_torsion,
     direct_sum,
-    identity,
     kernel_of_hom,
     smith_normal_form,
-    solve_matrix,
 )
 from .datum import NormTorusDatum
 from .errors import BudgetExceededError, InternalCheckError
 from .groups import FiniteGroup, Subgroup, is_normal, presentation
 from .lattice import (
     GLattice,
+    TorusLattices,
     character_lattices,
     restrict_lattice,
     trivial_lattice,
@@ -62,8 +66,13 @@ from .transfer import group_abelianization
 
 @dataclass(frozen=True)
 class CohomologyBudget:
-    """The group-order cap in degree 2; degrees 0 and 1 have fixed caps.  The
-    error's ``cochain_dim`` is the normalized-bar size rank * (|G| - 1)^q."""
+    """The group-order cap in degree 2; degrees 0 and 1 have fixed caps.
+
+    The error's ``cochain_dim`` is rank * (|G| - 1)^q, the size of the
+    degree-q cochains on the normalized bar resolution.  The oracle builds
+    no such cochains: on the presentation's resolution they have rank * |S|
+    (q = 1) or rank * |R| (q = 2) coordinates.  The field is kept as it is
+    in the error payload."""
 
     max_order_q2: int = 16
 
@@ -245,37 +254,26 @@ def sha_group(lattice: GLattice, q: int, dec_groups,
     return kernel_of_hom(coh.group, homs).group
 
 
-def _section_and_retraction(incl: np.ndarray, proj: np.ndarray):
-    """Integer section of proj and retraction of incl for a split pair."""
-    section = solve_matrix(proj.tolist(), identity(proj.shape[0]))
-    if section is None:
-        raise InternalCheckError("projection admits no integral section")
-    retraction = solve_matrix(incl.T.tolist(), identity(incl.shape[1]))
-    if retraction is None:
-        raise InternalCheckError("inclusion admits no integral retraction")
-    return (np.array(section, dtype=np.int64).reshape(proj.shape[::-1]),
-            np.array(retraction, dtype=np.int64).reshape(incl.shape).T)
-
-
-def connecting_hom(sub_lattices, incl, proj, q: int,
+def connecting_hom(sub_lattices, incl, section, retraction, q: int,
                    budget: CohomologyBudget = DEFAULT_BUDGET):
-    """delta : H^q(G, C) -> H^{q+1}(G, A) for a lattice sequence A -> B -> C.
+    """delta : H^q(G, C) -> H^{q+1}(G, A) for a split exact lattice sequence
+    0 -> A -> B -> C -> 0.
 
-    ``sub_lattices`` = (A, B, C); incl and proj are the int64 matrices of
-    A -> B and B -> C.  The sequence must be Z-split exact (true for
-    lattices).  A class of C is lifted by the section, d_q of B is applied
-    and the result is retracted to A.
+    ``sub_lattices`` = (A, B, C); incl, section and retraction are the int64
+    matrices of i : A -> B, s : C -> B and r : B -> A, with r i = I and
+    i r + s p = I for the projection p : B -> C (``lattice.TorusLattices``
+    certifies these).  A class of C is lifted by s, d_q of B is applied and
+    the result is retracted by r.
     """
     a_lat, b_lat, c_lat = sub_lattices
     coh_c = cohomology(c_lat, q, budget)
     coh_a = cohomology(a_lat, q + 1, budget)
-    section, li = _section_and_retraction(incl, proj)
     d = coboundary_matrix(b_lat, q)
     cols = []
     for j in range(coh_c.group.rank):
         lifted = coh_c.representative(j).reshape(-1, c_lat.rank) @ section.T
         dw = (d @ lifted.ravel()).reshape(-1, b_lat.rank)
-        out = dw @ li.T
+        out = dw @ retraction.T
         # the coboundary of the lift must come from A
         if not np.array_equal(out @ incl.T, dw):
             raise InternalCheckError("connecting cochain escapes the sub-lattice")
@@ -395,18 +393,18 @@ def xi_complement(datum: NormTorusDatum) -> Subgroup | None:
     return None
 
 
-def xi_obstruction(datum: NormTorusDatum,
+def xi_obstruction(datum: NormTorusDatum, lats: TorusLattices,
                    budget: CohomologyBudget = DEFAULT_BUDGET):
     """The split-CM two-torsion obstruction class and its restrictions.
 
-    Applies when ``xi_complement`` finds a complement.  Returns
+    Applies when ``xi_complement`` finds a complement; ``lats`` are the
+    datum's ``character_lattices``.  Returns
     (tau, details): tau = 1 exactly when the unique nonzero class of
     H^2(torus)[2] dies on every decomposition group, else tau = 2.
     """
     if xi_complement(datum) is None:
         raise InternalCheckError("xi hypotheses fail", group_order=datum.group.order,
                                  pairs=len(datum.pairs), cm=datum.is_cm)
-    lats = character_lattices(datum)
     coh2 = cohomology(lats.torus, 2, budget)
     even_positions = [j for j, d in enumerate(coh2.group.factors) if d % 2 == 0]
     if len(even_positions) != 1:
@@ -444,7 +442,7 @@ def verify_structure(datum: NormTorusDatum,
         f"oracle {h1_torus_oracle.factors}, engine {engine_h1.factors}"))
     cyclic_path = datum.cyclic_relative_quotients() and datum.normal_outer()
     if cyclic_path:
-        prim = primitive_part_oracle(datum, budget)
+        prim = primitive_part_oracle(datum, lats, budget)
         sha = sha_group(lats.torus, 2, decs, budget)
         lhs = h1_torus_oracle.order * prim.order
         rhs = h1_norm_one.order * sha.order
@@ -512,7 +510,7 @@ def verify_structure(datum: NormTorusDatum,
         checks.append(CheckResult("h2_norm_one_coprime_product", False, True, ""))
     tau_verdict = None
     if xi_complement(datum) is not None:
-        tau_verdict, details = xi_obstruction(datum, budget)
+        tau_verdict, details = xi_obstruction(datum, lats, budget)
         checks.append(CheckResult(
             "xi_obstruction", True, True,
             f"tau = {tau_verdict}; restrictions {details}"))
@@ -522,11 +520,12 @@ def verify_structure(datum: NormTorusDatum,
     return StructureReport(tuple(checks), tau_verdict)
 
 
-def primitive_part_oracle(datum: NormTorusDatum,
+def primitive_part_oracle(datum: NormTorusDatum, lats: TorusLattices,
                           budget: CohomologyBudget = DEFAULT_BUDGET) -> FinAb:
     """Classes of H^2(Z) restricting into the connecting image on every
-    decomposition group, computed with no transfer machinery."""
-    lats = character_lattices(datum)
+    decomposition group, computed with no transfer machinery; ``lats`` are
+    the datum's ``character_lattices``, whose splitting serves every
+    decomposition group."""
     z_lat = trivial_lattice(datum.group, 1)
     coh_z = cohomology(z_lat, 2, budget)
     maps = []
@@ -535,8 +534,8 @@ def primitive_part_oracle(datum: NormTorusDatum,
         a_loc = restrict_lattice(z_lat, dec)
         b_loc = restrict_lattice(lats.torus, dec)
         c_loc = restrict_lattice(lats.norm_one, dec)
-        delta = connecting_hom((a_loc, b_loc, c_loc), lats.unit_embedding,
-                               lats.torus_to_norm_one.matrix, 1, budget)
+        delta = connecting_hom((a_loc, b_loc, c_loc), lats.inclusion, lats.section,
+                               lats.retraction, 1, budget)
         _, (proj,) = cokernel_of_hom([delta])
         maps.append(proj.compose(res))
     return kernel_of_hom(coh_z.group, maps).group

@@ -36,6 +36,7 @@ from .groups import (
     units_mod,
 )
 from .landau import factorize, is_prime_u64
+from .lattice import character_lattices
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +340,6 @@ def split_classifier(group: FiniteGroup, iota: int) -> ClassifierResult:
     if xi_complement(datum) is None:
         return ClassifierResult(Fraction(2), (Fraction(2),), engine_tau,
                                 "complement has even abelianization")
-    tau, details = xi_obstruction(datum)
+    tau, details = xi_obstruction(datum, character_lattices(datum))
     return ClassifierResult(tau, (tau,), engine_tau,
                             f"two-torsion obstruction: {details}")

@@ -1,45 +1,53 @@
 """Explicit character lattices with integral group actions.
 
 The multiplicative-group torus of the extension algebra has the
-permutation lattice on cosets of the inner subgroups; the base algebra
-uses the outer cosets.  Dividing the coset-summation (norm) map out of
-the permutation lattice yields the norm-one lattice, and dividing only
-the degree-zero part out yields the torus lattice itself, giving the
-short exact sequence  0 -> Z -> torus -> norm-one -> 0  at matrix level.
+permutation lattice A on the cosets of the inner subgroups, and the norm
+map nu : B -> A from the permutation lattice B on the outer cosets sends
+an outer coset to the sum of the inner cosets it holds.  The norm-one
+lattice is N = A / nu(B) and the torus lattice is T = A / nu(B_0), B_0
+the degree-zero part of B.  ``character_lattices`` returns them as one
+short exact sequence 0 -> Z -> T -> N -> 0 with its Z-splitting
+(``TorusLattices``); A and B are never built as lattices.
 
 A lattice of rank r over G stores its action as one read-only int64
 array of shape (|G|, r, r), ``action[g]`` the matrix of g, and every
 lattice is built from such arrays by batched numpy: index arrays for
 permutation lattices, slice assignment for block sums, one product
-``proj @ action @ section`` for a quotient.  Smith forms, integer solves
-and kernels choose the bases on Python ints (``.tolist()``), so they stay
-exact.
+``proj @ action @ section`` for a quotient.  Smith forms and kernels
+choose the bases on Python ints (``.tolist()``), so they stay exact, and
+every int64 product goes through ``_product``, which refuses one that
+could leave int64.
 
-The constructor checks the homomorphism property only on the greedy
-generators S of G (``groups._greedy_generators``): action[e] = I and
-action[g] action[s] = action[gs] for every g and every s in S.  This is
-exact.  Every h in G is a word e s_1 ... s_k in S, and by induction on
-its length, rho(g) rho(hs) = rho(g) rho(h) rho(s) = rho(gh) rho(s)
-= rho(ghs) for all g; it is the argument of Light's test in
-``groups._analyze_table``.
+Each fact is checked once, where it arises, and a failure raises
+``InternalCheckError``:
+
+- a permutation action is a homomorphism, checked on its index arrays
+  (``_permutation_action``): images[e] is the identity and
+  images[g, images[s, j]] = images[gs, j] for every g, j and every s in
+  the greedy generators S of G (``FiniteGroup.generators``).  Every h in
+  G is a word s_1 ... s_k in S, and by induction on its length,
+  rho(g) rho(hs) = rho(g) rho(h) rho(s) = rho(gh) rho(s) = rho(ghs); it is
+  the argument of Light's test in ``groups._analyze_table``;
+- a quotient by a sublattice X is a free G-lattice (``_free_quotient``):
+  X is saturated, rho(s) X lies in X for every s in S, and its products
+  stay in int64;
+- the sequence is split exact (``TorusLattices``): r i = 1, p s = I,
+  i r + s p = I, and rho_T(g) i = i for every g in S.
+
+Block sums, restrictions to a subgroup and trivial lattices are
+homomorphisms by construction, so nothing is checked for them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import kernel_basis, smith_normal_form, solve_matrix
+from .abelian import kernel_basis, smith_normal_form
 from .datum import NormTorusDatum
 from .errors import InternalCheckError
-from .groups import FiniteGroup, Subgroup, _greedy_generators, coset_index, cosets
-
-__all__ = [
-    "GLattice", "LatticeMap", "TorusLattices", "permutation_lattice",
-    "trivial_lattice", "restrict_lattice", "character_lattices",
-]
+from .groups import FiniteGroup, Subgroup, coset_index, cosets
 
 
 def _frozen_int64(values, shape) -> np.ndarray:
@@ -48,15 +56,36 @@ def _frozen_int64(values, shape) -> np.ndarray:
     return out
 
 
+def _product(*factors) -> np.ndarray:
+    """The int64 product of integer matrices (or stacks of them), exact.
+
+    No entry of a partial product exceeds the product of the inner
+    dimensions and of the factors' largest entries; that bound is checked
+    to stay below 2^62, so a sum of two such products is exact as well.
+    """
+    bound = 1
+    for f in factors:
+        bound *= int(np.abs(f).max(initial=0))
+    for f in factors[:-1]:
+        bound *= f.shape[-1]
+    if bound >= 2 ** 62:
+        raise InternalCheckError("lattice product overflows int64", bound=bound)
+    out = factors[0]
+    for f in factors[1:]:
+        out = out @ f
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GLattice:
     """Free Z-module of finite rank with a group action by integer matrices.
 
     ``action`` is the (|G|, rank, rank) int64 array; the constructor takes
-    any array-like with one rank x rank matrix per group element.
-    Equality and hashing go by group, rank and the action's bytes (the
-    hash is computed once), so equal lattices share every cache entry
-    keyed on them.
+    any array-like with one rank x rank matrix per group element and
+    checks nothing: the builders in this module prove their actions
+    homomorphisms (see the module docstring).  Equality and hashing go by
+    group, rank and the action's bytes (the hash is computed once), so
+    equal lattices share every cache entry keyed on them.
     """
 
     group: FiniteGroup
@@ -64,20 +93,9 @@ class GLattice:
     action: np.ndarray
 
     def __post_init__(self):
-        g, r = self.group, self.rank
-        if np.size(self.action) != g.order * r * r:
-            raise InternalCheckError("one action matrix per group element required")
-        action = _frozen_int64(self.action, (g.order, r, r))
+        action = _frozen_int64(self.action, (self.group.order, self.rank, self.rank))
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "_hash", hash((g, r, action.tobytes())))
-        if not np.array_equal(action[g.identity], np.eye(r, dtype=np.int64)):
-            raise InternalCheckError("identity must act as the identity matrix")
-        for s in _greedy_generators(g.table, g.identity, g.elements()):
-            wrong = np.any(action @ action[s] != action[[row[s] for row in g.table]],
-                           axis=(1, 2))
-            if wrong.any():
-                raise InternalCheckError("action is not a homomorphism",
-                                         pair=[int(np.argmax(wrong)), s])
+        object.__setattr__(self, "_hash", hash((self.group, self.rank, action.tobytes())))
 
     def __eq__(self, other):
         return (isinstance(other, GLattice) and self._hash == other._hash
@@ -88,71 +106,61 @@ class GLattice:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeMap:
-    """An equivariant map; ``matrix`` is its (target rank, source rank) int64 array."""
-
-    source: GLattice
-    target: GLattice
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.source.group != self.target.group:
-            raise InternalCheckError("lattice map across different groups")
-        m = _frozen_int64(self.matrix, (self.target.rank, self.source.rank))
-        object.__setattr__(self, "matrix", m)
-        wrong = np.any(m @ self.source.action != self.target.action @ m, axis=(1, 2))
-        if wrong.any():
-            raise InternalCheckError("map is not equivariant", element=int(np.argmax(wrong)))
-
-
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     return GLattice(group, rank,
                     np.broadcast_to(np.eye(rank, dtype=np.int64), (group.order, rank, rank)))
 
 
-def _permutation_action(group: FiniteGroup, sub: Subgroup):
-    """(action array of G on the left cosets of ``sub``, the cosets)."""
-    parts = cosets(group, sub, "left")
-    n = len(parts)
-    # g sends the coset of rep_j to the coset of g rep_j
-    coset_of = np.array(coset_index(group, parts))
-    images = coset_of[np.array(group.table)[:, [cs[0] for cs in parts]]]
+def _permutation_action(group: FiniteGroup, images: np.ndarray) -> np.ndarray:
+    """The action array of g sending basis vector j to images[g, j].
+
+    A homomorphism, as images[e] is the identity and images[g, images[s]]
+    = images[gs] for s in S (the induction of the module docstring).
+    """
+    n = images.shape[1]
+    if not np.array_equal(images[group.identity], np.arange(n)):
+        raise InternalCheckError("identity must act as the identity matrix")
+    for s in group.generators:
+        wrong = np.any(images[:, images[s]] != images[[row[s] for row in group.table]],
+                       axis=1)
+        if wrong.any():
+            raise InternalCheckError("action is not a homomorphism",
+                                     pair=[int(np.argmax(wrong)), s])
     action = np.zeros((group.order, n, n), dtype=np.int64)
     action[np.arange(group.order)[:, None], images, np.arange(n)] = 1
-    return action, parts
+    return action
 
 
-def permutation_lattice(group: FiniteGroup, sub: Subgroup):
-    """Induced lattice on left cosets of ``sub``; returns (lattice, cosets)."""
-    action, parts = _permutation_action(group, sub)
-    return GLattice(group, len(parts), action), parts
+def _free_quotient(group: FiniteGroup, action: np.ndarray, sub_cols: np.ndarray):
+    """The lattice with action array ``action`` modulo the column span X of
+    ``sub_cols``: (quotient lattice, projection, section).
 
-
-def _free_quotient(lattice: GLattice, sub_cols: np.ndarray):
-    """Quotient of a lattice by the (saturated) column span of ``sub_cols``.
-
-    Returns (quotient lattice, projection map).
+    One Smith form U X V = D gives proj, the rows of U past rank X, and
+    section, the matching columns of U^-1, with proj section = I.  D of
+    0s and 1s makes X saturated, so ker proj = X and the quotient is free.
+    proj rho(s) X = 0 for s in S makes X G-stable (the g with rho(g) X in X
+    are closed under products), so proj rho(g) = rho'(g) proj for
+    rho'(g) = proj rho(g) section, and rho' is a homomorphism with proj
+    equivariant.
     """
-    r = lattice.rank
+    r = action.shape[-1]
     if sub_cols.shape[1] == 0:
-        return lattice, LatticeMap(lattice, lattice, np.eye(r, dtype=np.int64))
+        eye = np.eye(r, dtype=np.int64)
+        return GLattice(group, r, action), eye, eye
     form = smith_normal_form(sub_cols.tolist())
     diag = form.diagonal
     if any(x not in (0, 1) for x in diag):
         raise InternalCheckError("quotient lattice has torsion", diagonal=list(diag))
     rank_b = diag.count(1)
-    proj = form.u[rank_b:]
-    section = [row[rank_b:] for row in form.u_inv]
-    # the batched product is exact only while no entry can leave int64
-    largest = [max((abs(x) for row in m for x in row), default=0) for m in (proj, section)]
-    bound = r * r * largest[0] * largest[1] * int(np.abs(lattice.action).max())
-    if bound >= 2 ** 63:
-        raise InternalCheckError("quotient action overflows int64", bound=bound)
-    proj = np.array(proj, dtype=np.int64).reshape(r - rank_b, r)
-    section = np.array(section, dtype=np.int64).reshape(r, r - rank_b)
-    quot = GLattice(lattice.group, r - rank_b, proj @ lattice.action @ section)
-    return quot, LatticeMap(lattice, quot, proj)
+    proj = np.array(form.u[rank_b:], dtype=np.int64).reshape(r - rank_b, r)
+    section = np.array([row[rank_b:] for row in form.u_inv],
+                       dtype=np.int64).reshape(r, r - rank_b)
+    gens = list(group.generators)
+    moved = np.any(_product(proj, action[gens], sub_cols), axis=(1, 2))
+    if moved.any():
+        raise InternalCheckError("sublattice is not G-stable",
+                                 element=gens[int(np.argmax(moved))])
+    return GLattice(group, r - rank_b, _product(proj, action, section)), proj, section
 
 
 def restrict_lattice(lattice: GLattice, sub: Subgroup):
@@ -163,14 +171,41 @@ def restrict_lattice(lattice: GLattice, sub: Subgroup):
 
 @dataclass(frozen=True, eq=False)
 class TorusLattices:
-    ambient: GLattice          # permutation lattice on the inner cosets
-    base: GLattice             # permutation lattice on the outer cosets
-    norm_one: GLattice
+    """The split exact sequence 0 -> Z -> torus -> norm-one -> 0.
+
+    ``inclusion`` i (rank x 1) sends 1 to the unit vector, ``projection`` p
+    is torus -> norm-one, ``section`` s and ``retraction`` r split them.
+    The constructor certifies r i = 1, p s = I, i r + s p = I and
+    rho(g) i = i for g in S.  These prove exactness: p i r = p - p s p = 0,
+    so p i = 0; i is injective with a primitive image and p onto, and the
+    torus is i Z + s N with ker p = Z i.  p is equivariant because both
+    quotients are (``_free_quotient``) and p to_torus = to_norm_one.
+    """
+
     torus: GLattice
-    norm_map: LatticeMap       # base -> ambient, coset summation
-    ambient_to_torus: LatticeMap
-    torus_to_norm_one: LatticeMap
-    unit_embedding: np.ndarray     # Z -> torus (rank x 1)
+    norm_one: GLattice
+    inclusion: np.ndarray
+    projection: np.ndarray
+    section: np.ndarray
+    retraction: np.ndarray
+
+    def __post_init__(self):
+        t, n = self.torus.rank, self.norm_one.rank
+        for name, shape in (("inclusion", (t, 1)), ("projection", (n, t)),
+                            ("section", (t, n)), ("retraction", (1, t))):
+            object.__setattr__(self, name, _frozen_int64(getattr(self, name), shape))
+        i, p, s, r = self.inclusion, self.projection, self.section, self.retraction
+        for identity, lhs, rhs in (
+                ("r i = 1", _product(r, i), np.eye(1, dtype=np.int64)),
+                ("p s = I", _product(p, s), np.eye(n, dtype=np.int64)),
+                ("i r + s p = I", _product(i, r), np.eye(t, dtype=np.int64) - _product(s, p))):
+            if not np.array_equal(lhs, rhs):
+                raise InternalCheckError("torus sequence is not split exact", identity=identity)
+        gens = list(self.torus.group.generators)
+        moved = np.any(_product(self.torus.action[gens], i) != i, axis=(1, 2))
+        if moved.any():
+            raise InternalCheckError("unit vector is not invariant",
+                                     element=gens[int(np.argmax(moved))])
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -187,80 +222,43 @@ def _block_diag(blocks) -> np.ndarray:
 
 
 def character_lattices(datum: NormTorusDatum) -> TorusLattices:
-    """All four lattices of a datum with the connecting equivariant maps."""
+    """The torus and norm-one lattices of a datum, as one split exact sequence.
+
+    With (to_N, sec_N) and (to_T, sec_T) the projections and sections of
+    the two quotients of A, p = to_N sec_T is the unique map with
+    p to_T = to_N (to_T is onto and ker to_T lies in ker to_N),
+    s = to_T sec_N, i = to_T nu(first outer coset), and r is read off
+    I - s p = i r at a nonzero entry of i.
+    """
     g = datum.group
     if not datum.pairs:
         # degenerate fiber product over nothing: the torus is G_m itself
-        one = trivial_lattice(g, 1)
-        zero = trivial_lattice(g, 0)
-        return TorusLattices(
-            ambient=zero, base=zero, norm_one=zero, torus=one,
-            norm_map=LatticeMap(zero, zero, np.zeros((0, 0))),
-            ambient_to_torus=LatticeMap(zero, one, np.zeros((1, 0))),
-            torus_to_norm_one=LatticeMap(one, zero, np.zeros((0, 1))),
-            unit_embedding=_frozen_int64(1, (1, 1)))
-    amb_blocks, base_blocks, norm_blocks = [], [], []
+        return TorusLattices(trivial_lattice(g, 1), trivial_lattice(g, 0),
+                             [[1]], np.zeros((0, 1)), np.zeros((1, 0)), [[1]])
+    amb_blocks, norm_blocks = [], []
+    table = np.array(g.table)
     for pair in datum.pairs:
-        amb, amb_parts = _permutation_action(g, pair.inner)
-        bse, bse_parts = _permutation_action(g, pair.outer)
-        amb_blocks.append(amb)
-        base_blocks.append(bse)
+        inner, outer = cosets(g, pair.inner, "left"), cosets(g, pair.outer, "left")
+        # g sends the coset of rep_j to the coset of g rep_j
+        images = np.array(coset_index(g, inner))[table[:, [cs[0] for cs in inner]]]
+        amb_blocks.append(_permutation_action(g, images))
         # coset summation: an outer coset is the sum of the inner cosets it holds
-        outer_of = coset_index(g, bse_parts)
-        block = np.zeros((len(amb_parts), len(bse_parts)), dtype=np.int64)
-        block[np.arange(len(amb_parts)), [outer_of[cs[0]] for cs in amb_parts]] = 1
+        outer_of = coset_index(g, outer)
+        block = np.zeros((len(inner), len(outer)), dtype=np.int64)
+        block[np.arange(len(inner)), [outer_of[cs[0]] for cs in inner]] = 1
         norm_blocks.append(block)
-    ambient_action, base_action = _block_diag(amb_blocks), _block_diag(base_blocks)
-    ambient = GLattice(g, ambient_action.shape[-1], ambient_action)
-    base = GLattice(g, base_action.shape[-1], base_action)
+    ambient = _block_diag(amb_blocks)
     norm_matrix = _block_diag(norm_blocks)
-    norm_map = LatticeMap(base, ambient, norm_matrix)
-    # norm-one: ambient / image of the full norm map
-    norm_one, to_norm_one = _free_quotient(ambient, norm_matrix)
-    # torus: ambient / image of the degree-zero part of the base
-    deg_kernel = kernel_basis(((1,) * base.rank,), base.rank)
-    torus, to_torus = _free_quotient(
-        ambient, norm_matrix @ np.array(deg_kernel, dtype=np.int64).reshape(
-            base.rank, base.rank - 1))
-    # unit embedding Z -> torus: the class of any single outer-coset norm
-    unit_embedding = _frozen_int64(to_torus.matrix @ norm_matrix[:, :1], (torus.rank, 1))
-    # torus -> norm_one: factor to_norm_one through to_torus
-    factor = solve_matrix(to_torus.matrix.T.tolist(), to_norm_one.matrix.T.tolist())
-    if factor is None:
-        raise InternalCheckError("norm-one projection does not factor through the torus")
-    t2n = np.array(factor, dtype=np.int64).reshape(torus.rank, norm_one.rank).T
-    torus_to_norm_one = LatticeMap(torus, norm_one, t2n)
-    _check_exactness(torus, norm_one, unit_embedding, torus_to_norm_one.matrix)
-    return TorusLattices(
-        ambient=ambient, base=base, norm_one=norm_one, torus=torus,
-        norm_map=norm_map, ambient_to_torus=to_torus,
-        torus_to_norm_one=torus_to_norm_one, unit_embedding=unit_embedding)
-
-
-def _check_exactness(torus: GLattice, norm_one: GLattice, unit_col, t2n):
-    """0 -> Z -> torus -> norm-one -> 0 must be exact over Z."""
-    if torus.rank != norm_one.rank + 1:
-        raise InternalCheckError("rank bookkeeping failed")
-    unit = unit_col[:, 0]
-    if not unit.any():
-        raise InternalCheckError("unit embedding collapsed")
-    moved = np.any(torus.action @ unit != unit, axis=1)
-    if moved.any():
-        raise InternalCheckError("unit vector is not invariant", element=int(np.argmax(moved)))
-    # the composite kills the unit
-    if np.any(t2n @ unit):
-        raise InternalCheckError("unit does not map into the norm-one kernel")
-    # surjectivity with free cokernel and kernel = the unit line
-    rows = t2n.tolist()
-    if smith_normal_form(rows).diagonal.count(1) != norm_one.rank:
-        raise InternalCheckError("torus -> norm-one is not onto with free quotient")
-    ker = kernel_basis(rows, torus.rank)
-    if not ker or len(ker[0]) != 1:
-        raise InternalCheckError("kernel of torus -> norm-one has wrong rank")
-    kvec = [row[0] for row in ker]
-    uvec = unit.tolist()
-    if kvec != uvec and kvec != [-x for x in uvec]:
-        raise InternalCheckError("kernel line differs from the unit line")
-    # unit vector is primitive (exactness on the left)
-    if math.gcd(*uvec) != 1:
-        raise InternalCheckError("unit embedding is not primitive", gcd=math.gcd(*uvec))
+    norm_one, to_norm_one, sec_norm_one = _free_quotient(g, ambient, norm_matrix)
+    base_rank = norm_matrix.shape[1]
+    deg_kernel = np.array(kernel_basis(((1,) * base_rank,), base_rank),
+                          dtype=np.int64).reshape(base_rank, base_rank - 1)
+    torus, to_torus, sec_torus = _free_quotient(g, ambient, _product(norm_matrix, deg_kernel))
+    projection = _product(to_norm_one, sec_torus)
+    section = _product(to_torus, sec_norm_one)
+    inclusion = _product(to_torus, norm_matrix[:, :1])
+    k = int(np.argmax(inclusion[:, 0] != 0))
+    # i = 0 leaves r = 0, which fails r i = 1 in the constructor
+    pivot = int(inclusion[k, 0]) or 1
+    row = np.eye(torus.rank, dtype=np.int64)[k] - _product(section[k:k + 1], projection)
+    return TorusLattices(torus, norm_one, inclusion, projection, section, row // pivot)

@@ -8,7 +8,7 @@ Pontryagin duals, as the engine once did: ker(dual c), the annihilator
 Ann(W) built on the double cosets D\\G/Ntilde, and Ann(W) / im(dual c).
 """
 
-from references import product_datum
+from references import mat_mul, product_datum
 from cmtori.abelian import (
     AbElement,
     AbHom,
@@ -17,7 +17,6 @@ from cmtori.abelian import (
     cokernel_of_hom,
     factor_through,
     kernel_of_hom,
-    mat_mul,
     subgroup_of,
 )
 from cmtori.datum import TorusPair

@@ -14,7 +14,12 @@ compare those with:
 - the p of a Landau pair, as the squarefree part of q - 1;
 - the direct sum of finite abelian groups by lattice elimination;
 - the combined datum of a product pipeline on the Cayley table of the
-  product group, with its report and primitive-inclusion test.
+  product group, with its report and primitive-inclusion test;
+- integer matrices as tuples of rows, with their product and an integer
+  solve of a x = b by one Smith form, which once gave the torus ->
+  norm-one map of the lattice sequence;
+- the homomorphism check on a lattice's action matrices, which the
+  program makes on permutation index arrays alone.
 
 It also holds the inverse of an element and the exponent of a group,
 which only tests read.
@@ -26,7 +31,15 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from cmtori.abelian import AbHom, FinAb, _echelon, _quotient, cokernel_of_hom, identity
+from cmtori.abelian import (
+    AbHom,
+    FinAb,
+    _echelon,
+    _quotient,
+    cokernel_of_hom,
+    identity,
+    smith_normal_form,
+)
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.engine import ProductReport, primitive_part, tamagawa
 from cmtori.errors import ConstructionError, DatumError, InternalCheckError
@@ -301,3 +314,61 @@ def table_product_report(data, extras=()) -> ProductReport:
     combined = tamagawa(combined_datum)
     return ProductReport(reports, product_tau, combined, combined.tau == product_tau,
                          primitive_inclusion(data, combined_datum, prod))
+
+
+def zeros(rows: int, cols: int):
+    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out.append(tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)))
+    return tuple(out)
+
+
+def solve_matrix(a, b):
+    """One integer solution x of a @ x = b, or None if none exists."""
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    bc = len(b[0]) if b else 0
+    if len(b) != nr:
+        raise ValueError("right-hand side has wrong height")
+    if nr == 0:
+        return zeros(nc, bc)
+    s = smith_normal_form(a)
+    ub = mat_mul(s.u, b)
+    diag = s.diagonal
+    y = [[0] * bc for _ in range(nc)]
+    for i in range(nr):
+        di = diag[i] if i < len(diag) else 0
+        for j in range(bc):
+            val = ub[i][j]
+            if di == 0:
+                if val != 0:
+                    return None
+            else:
+                if val % di != 0:
+                    return None
+                if i < nc:
+                    y[i][j] = val // di
+    return mat_mul(s.v, tuple(tuple(r) for r in y))
+
+
+def check_homomorphism(lattice) -> None:
+    """Raise unless a lattice's action is a homomorphism: action[e] = I and
+    action[g] action[s] = action[gs] for every g and every greedy generator
+    s (exact by the induction of the ``cmtori.lattice`` docstring).  Batched
+    int64 products, as ``GLattice`` once checked itself."""
+    g, action = lattice.group, lattice.action
+    if not np.array_equal(action[g.identity], np.eye(lattice.rank, dtype=np.int64)):
+        raise InternalCheckError("identity must act as the identity matrix")
+    for s in g.generators:
+        wrong = np.any(action @ action[s] != action[[row[s] for row in g.table]], axis=(1, 2))
+        if wrong.any():
+            raise InternalCheckError("action is not a homomorphism",
+                                     pair=[int(np.argmax(wrong)), s])

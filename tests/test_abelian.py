@@ -18,15 +18,13 @@ from cmtori.abelian import (
     image_of_hom,
     kernel_basis,
     kernel_of_hom,
-    mat_mul,
     smith_normal_form,
-    solve_matrix,
     subgroup_of,
 )
 from cmtori.errors import InternalCheckError
 
 from character_side import annihilator, dual_group, dual_hom, pairing
-from references import direct_sum_by_elimination
+from references import direct_sum_by_elimination, mat_mul, solve_matrix
 
 
 def det(m):

@@ -275,6 +275,28 @@ def test_degree_one_budget_checked_before_lattices(tmp_path, monkeypatch):
                         "group_order": 128, "rank": rank}}}
 
 
+def test_oracle_commands_build_the_lattices_once(tmp_path, monkeypatch):
+    # verify_structure hands its one sequence to primitive_part_oracle (Q8
+    # has cyclic relative quotients), and tau --oracle builds one as well
+    from cmtori import cohomology
+
+    calls = []
+    real = cohomology.character_lattices
+
+    def counted(datum):
+        calls.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(cohomology, "character_lattices", counted)
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps(formats.datum_to_json(q8_cm())))
+    for args in (["oracle", "verify", str(path)], ["tau", "datum", "--oracle", str(path)]):
+        calls.clear()
+        code, out = run_cli(args)
+        assert code == 0, out
+        assert len(calls) == 1, args
+
+
 def test_overflow_exit_code():
     code, out = run_cli(["landau", "search", "--a-max", "1000000000",
                          "--b-max", "100"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from corpus import (
     imag_quadratic_double,
     q8_cm,
 )
-from cmtori.abelian import identity, kernel_basis, mat_mul, smith_normal_form, solve_matrix
+from references import check_homomorphism, mat_mul, solve_matrix
+from cmtori.abelian import identity, kernel_basis, smith_normal_form
 from cmtori.cohomology import cohomology
 from cmtori.datum import NormTorusDatum, TorusPair
 from cmtori.errors import InternalCheckError
 from cmtori.groups import (
-    _greedy_generators,
     cosets,
     cyclic,
     dihedral,
@@ -28,9 +30,9 @@ from cmtori.groups import (
 )
 from cmtori.lattice import (
     GLattice,
-    LatticeMap,
+    _free_quotient,
+    _permutation_action,
     character_lattices,
-    permutation_lattice,
     restrict_lattice,
     trivial_lattice,
 )
@@ -48,8 +50,6 @@ def test_imag_quadratic_lattices():
 
 def test_q8_lattice_ranks():
     lats = character_lattices(q8_cm())
-    assert lats.ambient.rank == 8
-    assert lats.base.rank == 4
     assert lats.torus.rank == 5
     assert lats.norm_one.rank == 4
 
@@ -65,29 +65,48 @@ def test_empty_datum_is_gm():
     lats = character_lattices(empty_pairs_datum())
     assert lats.torus.rank == 1
     assert lats.norm_one.rank == 0
-    assert lats.unit_embedding == ((1,),)
+    assert lats.inclusion.tolist() == lats.retraction.tolist() == [[1]]
+    assert lats.projection.shape == (0, 1) and lats.section.shape == (1, 0)
+
+
+def _all_sequences():
+    data = [datum for _, datum, _ in cm_corpus()] + fuzz_data() + [_ono_datum(), cyclic_cm(48)]
+    return [(datum, character_lattices(datum)) for datum in data]
 
 
 def test_action_is_homomorphism_everywhere():
-    for name, datum, _ in cm_corpus():
-        lats = character_lattices(datum)
-        for lat in (lats.ambient, lats.base, lats.torus, lats.norm_one):
-            GLattice(lat.group, lat.rank, lat.action)  # revalidates
+    # the matmul check the lattices once ran on themselves, on every lattice
+    # that character_lattices and restrict_lattice produce here
+    checked = 0
+    for datum, lats in _all_sequences():
+        g = datum.group
+        subs = list(datum.effective_decomposition_set()) + [full_subgroup(g)]
+        for lat in (lats.torus, lats.norm_one):
+            check_homomorphism(lat)
+            for sub in subs:
+                check_homomorphism(restrict_lattice(lat, sub))
+                checked += 1
+    assert checked > 500
 
 
 def test_equivariance_of_maps():
-    # LatticeMap validates equivariance on construction; rebuild to confirm
-    for datum in (q8_cm(), cyclic_cm(6)):
-        lats = character_lattices(datum)
-        LatticeMap(lats.base, lats.ambient, lats.norm_map.matrix)
-        LatticeMap(lats.torus, lats.norm_one, lats.torus_to_norm_one.matrix)
+    # p rho_T(g) = rho_N(g) p and rho_T(g) i = i at every g, which the
+    # lattice layer proves from its checks on the generators alone
+    for datum, lats in _all_sequences():
+        p, i = lats.projection, lats.inclusion
+        assert np.array_equal(p @ lats.torus.action, lats.norm_one.action @ p)
+        assert np.array_equal(lats.torus.action @ i, np.broadcast_to(
+            i, (datum.group.order,) + i.shape))
 
 
 def test_permutation_lattice_is_permutation():
     g = quaternion8()
-    lat, parts = permutation_lattice(g, subgroup_generated(g, [2]))
-    assert lat.rank == 2
-    for m in lat.action:
+    parts = cosets(g, subgroup_generated(g, [2]), "left")
+    index = {x: j for j, cs in enumerate(parts) for x in cs}
+    images = np.array([[index[g.table[x][cs[0]]] for cs in parts] for x in g.elements()])
+    action = _permutation_action(g, images)
+    assert action.shape == (8, 2, 2)
+    for m in action:
         for row in m:
             assert sorted(row) == [0, 1]
 
@@ -103,19 +122,11 @@ def test_restrict_lattice():
 
 def test_bad_action_rejected():
     g = cyclic(2)
-    with pytest.raises(InternalCheckError):
-        GLattice(g, 1, (((1,),), ((2,),)))  # 2 is not an involution matrix
-    # the zero action passes the generator relations; only the identity check fails
+    # g = 1 sends both basis vectors to 0: no permutation, no homomorphism
+    with pytest.raises(InternalCheckError, match="not a homomorphism"):
+        _permutation_action(g, np.array([[0, 1], [0, 0]]))
     with pytest.raises(InternalCheckError, match="identity"):
-        GLattice(g, 1, (((0,),), ((0,),)))
-
-
-def test_star_import_names_exist():
-    import cmtori.lattice
-
-    namespace = {}
-    exec("from cmtori.lattice import *", namespace)
-    assert set(cmtori.lattice.__all__) <= set(namespace)
+        _permutation_action(g, np.array([[1, 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +184,13 @@ def _transpose(m):
 
 
 def _reference_lattices(datum):
-    """Actions and map matrices of ``character_lattices``, as nested lists."""
+    """The lattices and the maps p, i of ``character_lattices``, as nested lists."""
     g = datum.group
-    amb_blocks, base_blocks, norm_blocks = [], [], []
+    amb_blocks, norm_blocks = [], []
     for pair in datum.pairs:
         amb, amb_parts = _reference_permutation(g, pair.inner)
-        bse, bse_parts = _reference_permutation(g, pair.outer)
+        bse_parts = cosets(g, pair.outer, "left")
         amb_blocks.append((amb, len(amb_parts)))
-        base_blocks.append((bse, len(bse_parts)))
         block = [[0] * len(bse_parts) for _ in range(len(amb_parts))]
         for j, outer_coset in enumerate(bse_parts):
             members = set(outer_coset)
@@ -189,17 +199,16 @@ def _reference_lattices(datum):
                     block[i][j] = 1
         norm_blocks.append(block)
     ambient = _reference_block_diag(g, amb_blocks)
-    base = _reference_block_diag(g, base_blocks)
     rows = sum(rank for _, rank in amb_blocks)
-    cols = sum(rank for _, rank in base_blocks)
+    cols = sum(len(block[0]) for block in norm_blocks)
     nm = [[0] * cols for _ in range(rows)]
     row_off = col_off = 0
-    for (_, ra), (_, rb), block in zip(amb_blocks, base_blocks, norm_blocks):
-        for i in range(ra):
-            for j in range(rb):
-                nm[row_off + i][col_off + j] = block[i][j]
-        row_off += ra
-        col_off += rb
+    for block in norm_blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                nm[row_off + i][col_off + j] = x
+        row_off += len(block)
+        col_off += len(block[0])
     norm_matrix = tuple(tuple(row) for row in nm)
     norm_one, to_norm_one = _reference_quotient(g, ambient, rows, norm_matrix)
     deg_kernel = kernel_basis(((1,) * cols,), cols)
@@ -209,12 +218,10 @@ def _reference_lattices(datum):
     unit_vec = tuple(norm_matrix[i][0] for i in range(rows))
     unit = tuple((sum(to_torus[i][j] * unit_vec[j] for j in range(rows)),)
                  for i in range(len(to_torus)))
+    # p is the solution of p to_torus = to_norm_one
     factor = solve_matrix(_transpose(to_torus), _transpose(to_norm_one))
-    out = {"norm_map": norm_matrix, "ambient_to_torus": to_torus,
-           "torus_to_norm_one": _transpose(factor), "unit_embedding": unit}
-    out = {key: _lists(m) for key, m in out.items()}
-    for key, action in (("ambient", ambient), ("base", base),
-                        ("norm_one", norm_one), ("torus", torus)):
+    out = {"torus_to_norm_one": _lists(_transpose(factor)), "unit_embedding": _lists(unit)}
+    for key, action in (("norm_one", norm_one), ("torus", torus)):
         out[key] = [_lists(m) for m in action]
     return out
 
@@ -236,68 +243,114 @@ def test_lattices_match_tuple_reference():
         lats = character_lattices(datum)
         expected = _reference_lattices(datum)
         got = {
-            "ambient": lats.ambient.action.tolist(), "base": lats.base.action.tolist(),
             "norm_one": lats.norm_one.action.tolist(), "torus": lats.torus.action.tolist(),
-            "norm_map": lats.norm_map.matrix.tolist(),
-            "ambient_to_torus": lats.ambient_to_torus.matrix.tolist(),
-            "torus_to_norm_one": lats.torus_to_norm_one.matrix.tolist(),
-            "unit_embedding": lats.unit_embedding.tolist(),
+            "torus_to_norm_one": lats.projection.tolist(),
+            "unit_embedding": lats.inclusion.tolist(),
         }
-        for key, value in expected.items():
-            assert got[key] == value, (name, key)
+        assert got == expected, name
     assert len(data) > 50
 
 
 def test_arrays_are_int64_and_read_only():
     lats = character_lattices(q8_cm())
-    for arr in (lats.torus.action, lats.norm_one.action, lats.norm_map.matrix,
-                lats.torus_to_norm_one.matrix, lats.unit_embedding):
+    for arr in (lats.torus.action, lats.norm_one.action, lats.inclusion, lats.projection,
+                lats.section, lats.retraction):
         assert arr.dtype == np.int64
         assert not arr.flags.writeable
     assert lats.torus.action.shape == (8, 5, 5)
 
 
+def _regular_images(group):
+    """images[g, j] = g j: the regular permutation action."""
+    return np.array(group.table)
+
+
 def test_homomorphism_wrong_on_one_generator_rejected():
     # C2 x D4, row-major: D4's greedy generators come first, then t = (1, e).
-    # rho'(c, h) = X^c rho(h) with X an involution that commutes with no
-    # rotation is right on every generator of D4 and wrong on t alone.
+    # g(c, h) = X^c g(h) with X a transposition of basis vectors that
+    # commutes with no rotation is right on every generator of D4 and wrong
+    # on t alone.
     d4 = dihedral(4)
     prod = direct_product(cyclic(2), d4)
     g = prod.group
-    regular, _ = permutation_lattice(d4, trivial_subgroup(d4))
-    swap = np.eye(8, dtype=np.int64)[[1, 0, 2, 3, 4, 5, 6, 7]]
-    action = np.empty((16, 8, 8), dtype=np.int64)
+    regular = _regular_images(d4)
+    swap = np.array([1, 0, 2, 3, 4, 5, 6, 7])
+    images = np.empty((16, 8), dtype=np.int64)
     for c in (0, 1):
         for h in d4.elements():
-            action[prod.pack((c, h))] = (swap if c else np.eye(8, dtype=np.int64)) @ \
-                regular.action[h]
-    gens = _greedy_generators(g.table, g.identity, g.elements())
+            images[prod.pack((c, h))] = swap[regular[h]] if c else regular[h]
+    gens = g.generators
     t = prod.pack((1, d4.identity))
     assert t == gens[-1] and len(gens) >= 3
     for s in gens:
-        right = all(np.array_equal(action[x] @ action[s], action[g.table[x][s]])
-                    for x in g.elements())
+        right = np.array_equal(images[:, images[s]], images[[row[s] for row in g.table]])
         assert right == (s != t), s
     with pytest.raises(InternalCheckError, match="not a homomorphism") as caught:
-        GLattice(g, 8, action)
+        _permutation_action(g, images)
     a, s = caught.value.context["pair"]
-    assert s == t and not np.array_equal(action[a] @ action[s], action[g.table[a][s]])
+    assert s == t and not np.array_equal(images[a, images[s]], images[g.table[a][s]])
 
 
-def test_map_not_equivariant_at_one_element_rejected():
-    # the elements where a map commutes with the actions form a subgroup, so
-    # one bad element is the most a map can miss unless |G| = 2: over C2 the
-    # identity map from Z to the sign lattice is equivariant at e only
-    g = cyclic(2)
-    sign = GLattice(g, 1, (((1,),), ((-1,),)))
-    with pytest.raises(InternalCheckError, match="not equivariant") as caught:
-        LatticeMap(trivial_lattice(g, 1), sign, ((1,),))
-    assert caught.value.context["element"] == 1
-    # over C4 the same map is equivariant on the index-2 subgroup {0, 2}
-    g4 = cyclic(4)
-    alternating = GLattice(g4, 1, [[[(-1) ** x]] for x in g4.elements()])
-    with pytest.raises(InternalCheckError, match="not equivariant") as caught:
-        LatticeMap(trivial_lattice(g4, 1), alternating, [[1]])
+def test_permutation_images_wrong_at_one_element_rejected():
+    # swapping two images of one element g0 != e breaks g0 s = g0 . s for
+    # some generator s; the reported pair really fails
+    for group in (cyclic(6), quaternion8(), dihedral(4)):
+        for g0 in group.elements():
+            if g0 == group.identity:
+                continue
+            images = _regular_images(group)
+            images[g0, [0, 1]] = images[g0, [1, 0]]
+            with pytest.raises(InternalCheckError, match="not a homomorphism") as caught:
+                _permutation_action(group, images)
+            a, s = caught.value.context["pair"]
+            assert not np.array_equal(images[a, images[s]], images[group.table[a][s]])
+        assert _permutation_action(group, _regular_images(group)).shape[0] == group.order
+
+
+def test_sublattice_not_g_stable_rejected():
+    # in the regular lattice of C4 the line through e_0 is saturated but
+    # moved by the generator; the line through e_0 + ... + e_3 is stable
+    g = cyclic(4)
+    action = _permutation_action(g, _regular_images(g))
+    with pytest.raises(InternalCheckError, match="not G-stable") as caught:
+        _free_quotient(g, action, np.array([[1], [0], [0], [0]]))
+    assert caught.value.context["element"] in g.generators
+    quot, proj, section = _free_quotient(g, action, np.ones((4, 1), dtype=np.int64))
+    assert quot.rank == 3 and np.array_equal(proj @ section, np.eye(3))
+    with pytest.raises(InternalCheckError, match="torsion"):
+        _free_quotient(g, action, np.full((4, 1), 2))
+
+
+def test_perturbed_splitting_rejected():
+    for datum in (imag_quadratic(), q8_cm(), cyclic_cm(6)):
+        lats = character_lattices(datum)
+        t, n = lats.torus.rank, lats.norm_one.rank
+        bump_s = np.zeros((t, n), dtype=np.int64)
+        bump_s[0, 0] = 1
+        bump_r = np.zeros((1, t), dtype=np.int64)
+        bump_r[0, -1] = 1
+        for field, value, identity_name in (
+                ("section", lats.section + bump_s, "p s = I"),
+                ("retraction", lats.retraction + bump_r, None),
+                ("inclusion", 2 * lats.inclusion, "r i = 1"),
+                ("projection", -lats.projection, "p s = I")):
+            with pytest.raises(InternalCheckError, match="not split exact") as caught:
+                replace(lats, **{field: value})
+            if identity_name:
+                assert caught.value.context["identity"] == identity_name, (field, datum)
+        # the unperturbed sequence passes the same constructor
+        assert replace(lats).projection.tolist() == lats.projection.tolist()
+
+
+def test_unit_vector_not_fixed_rejected():
+    # the sign action on the torus of Q(sqrt(-d)) moves the unit (1, 1) and
+    # keeps every split identity, which involve no action
+    lats = character_lattices(imag_quadratic())
+    g = lats.torus.group
+    sign = GLattice(g, 2, [np.eye(2, dtype=np.int64) * (1 if x == g.identity else -1)
+                           for x in g.elements()])
+    with pytest.raises(InternalCheckError, match="unit vector is not invariant") as caught:
+        replace(lats, torus=sign)
     assert caught.value.context["element"] == 1
 
 

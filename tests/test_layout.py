@@ -64,16 +64,25 @@ def test_traced_names_resolve():
 LIBRARY = {"certify_family", "split_classifier", "datum_to_json"}
 
 
+def _is_all(node):
+    """A module-level ``__all__ = ...``: listing a name there is no use of it."""
+    return (isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in getattr(node, "targets", [getattr(node, "target", None)])))
+
+
 def _program_names():
     """Name -> [(file, line)] of every identifier, attribute, imported name and
     string constant in the Python files of src/, scripts/ and cmbench/ and in
     tests/test_acceptance.py: the program, its tools and the acceptance tests,
-    not the other tests."""
+    not the other tests.  Module-level ``__all__`` assignments are skipped."""
     paths = [path for folder in ("src", "scripts", "cmbench")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     used = defaultdict(list)
     for path in paths + [ROOT / "tests" / "test_acceptance.py"]:
-        for node in ast.walk(ast.parse(path.read_text())):
+        module = ast.parse(path.read_text())
+        module.body = [node for node in module.body if not _is_all(node)]
+        for node in ast.walk(module):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -103,3 +112,8 @@ def test_every_module_level_definition_is_used():
                 if all(p == path and line in own for p, line in used[node.name]):
                     unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_all_assignments_are_not_uses():
+    body = ast.parse("__all__ = ['f']\n__all__ += ['g']\n__all__: list = []\nf = 1").body
+    assert [_is_all(node) for node in body] == [True, True, True, False]

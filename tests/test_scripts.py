@@ -49,6 +49,11 @@ def test_oracle_cost_child_reports_both_d1_shapes():
     assert out["d1_shape"] == [735, 60]
     assert out["bar_d1_shape"] == [3375, 225]
     assert out["h2"] == [2] * 6
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "oracle_cost.py"), "--child",
+                           "(Z/2)^4 Ono norm-one", "verify"],
+                          check=True, capture_output=True, text=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["all_passed"] is True and out["verify_s"] > 0
 
 
 def test_cli_digest_repeats_on_oracle_verify():

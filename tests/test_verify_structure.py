@@ -5,6 +5,7 @@ import pytest
 
 from corpus import (
     cm_corpus,
+    cyclic_cm,
     fuzz_data,
     noncm_coprime_product,
     q8_cm,
@@ -12,20 +13,29 @@ from corpus import (
     z4xz4_product,
 )
 from references import cyclic_generator, cyclic_relative_quotient
+from cmtori import cohomology as cohomology_module
 from cmtori.cohomology import (
     CohomologyBudget,
     _is_product_structured,
     _twisted_invariant_order,
     cohomology,
     involution_complement,
+    torus_invariants,
     verify_structure,
     xi_complement,
     xi_obstruction,
 )
 from cmtori.datum import NormTorusDatum, TorusPair
-from cmtori.engine import imaginary_quadratic_count
+from cmtori.engine import imaginary_quadratic_count, tamagawa
 from cmtori.errors import InternalCheckError
-from cmtori.groups import Subgroup, full_subgroup
+from cmtori.groups import (
+    Subgroup,
+    center,
+    dihedral,
+    full_subgroup,
+    subgroup_generated,
+    trivial_subgroup,
+)
 from cmtori.lattice import character_lattices
 from cmtori.transfer import group_abelianization
 
@@ -81,10 +91,10 @@ def test_coprime_product_untwisted_prediction_is_refuted():
 
 def test_xi_obstruction_not_applicable_without_hypotheses():
     with pytest.raises(InternalCheckError):
-        xi_obstruction(q8_cm())
+        xi_obstruction(q8_cm(), character_lattices(q8_cm()))
 
 
-def test_xi_obstruction_on_split_a4_case():
+def test_xi_obstruction_on_split_a4_case(monkeypatch):
     # complement with even degree and odd abelianization: A4 x <iota>
     from cmtori.datum import NormTorusDatum, TorusPair
     from cmtori.groups import (
@@ -103,9 +113,14 @@ def test_xi_obstruction_on_split_a4_case():
     pair = TorusPair(trivial_subgroup(g), subgroup_generated(g, [iota]))
     datum = NormTorusDatum(g, (pair,), iota=iota)
     budget = CohomologyBudget(max_order_q2=24)
-    tau, details = xi_obstruction(datum, budget)
+    tau, details = xi_obstruction(datum, character_lattices(datum), budget)
     assert tau in (Fraction(1), Fraction(2))
+    # one sequence serves primitive_part_oracle and xi_obstruction alike
+    calls = []
+    monkeypatch.setattr(cohomology_module, "character_lattices",
+                        lambda d: calls.append(d) or character_lattices(d))
     report = verify_structure(datum, budget)
+    assert len(calls) == 1
     checks = check_map(report)
     assert checks["xi_obstruction"].applicable
     assert report.tau_verdict == tau
@@ -183,5 +198,24 @@ def test_xi_complement_gates_both_callers():
         assert check_map(verify_structure(datum))["xi_obstruction"].applicable == applies
         if not applies:
             with pytest.raises(InternalCheckError) as info:
-                xi_obstruction(datum)
+                xi_obstruction(datum, character_lattices(datum))
             assert info.value.payload()["error"]["context"]["group_order"] == datum.group.order
+
+
+def _dihedral_cm(order):
+    """The CM torus of the dihedral group of the given order, iota central."""
+    g = dihedral(order // 2)
+    iota = next(z for z in center(g).elements if z != g.identity)
+    pair = TorusPair(trivial_subgroup(g), subgroup_generated(g, [iota]))
+    return NormTorusDatum(g, (pair,), iota=iota)
+
+
+@pytest.mark.parametrize("family,order", [(f, n) for f in "CD" for n in (32, 48, 64)])
+def test_engine_and_oracle_agree_on_cm_tori_of_order_32_to_64(family, order):
+    datum = cyclic_cm(order) if family == "C" else _dihedral_cm(order)
+    assert datum.group.order == order
+    budget = CohomologyBudget(max_order_q2=64)
+    assert verify_structure(datum, budget).all_passed
+    h1, sha = torus_invariants(datum, budget)
+    report = tamagawa(datum)
+    assert (h1.factors, sha.factors) == (report.h1_torus.factors, report.sha2.factors)
