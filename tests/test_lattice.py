@@ -32,6 +32,7 @@ from cmtori.lattice import (
     GLattice,
     _free_quotient,
     _permutation_action,
+    _product,
     character_lattices,
     restrict_lattice,
     trivial_lattice,
@@ -319,6 +320,18 @@ def test_sublattice_not_g_stable_rejected():
     assert quot.rank == 3 and np.array_equal(proj @ section, np.eye(3))
     with pytest.raises(InternalCheckError, match="torsion"):
         _free_quotient(g, action, np.full((4, 1), 2))
+
+
+def test_product_outside_the_int64_bound_rejected():
+    # 2^31 * 2^31 = 2^62 could already overflow once two such products are added
+    big = np.array([[2 ** 31]], dtype=np.int64)
+    assert _product(big, np.array([[2 ** 30]])).item() == 2 ** 61
+    with pytest.raises(InternalCheckError, match="overflows int64") as caught:
+        _product(big, big)
+    assert caught.value.context["bound"] == 2 ** 62
+    # the inner dimension counts: two terms of 2^61 each reach 2^62
+    with pytest.raises(InternalCheckError, match="overflows int64"):
+        _product(np.full((1, 2), 2 ** 31), np.full((2, 1), 2 ** 30))
 
 
 def test_perturbed_splitting_rejected():
