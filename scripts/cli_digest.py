@@ -9,9 +9,10 @@ directory of its own that holds its datum files.  Then it runs the
 probes: data whose permutation generators have a malformed shape, through
 ``tau datum``, ``oracle verify`` and ``classify``.  Last it runs
 ``landau search`` at a <= 1e5, b <= 100 (the ``landau_search`` workload)
-and at a <= 2000, b <= 300 (three windows of 64 even b), whatever the
-seeds.  Then ``tau product`` on the quaternion data of disjoint Landau
-families of 1, 2 and 3 pairs (the files ``tau_cap`` writes), on
+on one worker and on two, at a <= 2000, b <= 300 (three windows of 64
+even b) and on the empty range a <= 0, whatever the seeds.  Then ``tau
+product`` on the quaternion data of disjoint Landau families of 1, 2 and
+3 pairs (the files ``tau_cap`` writes), on
 cyclotomic(5) x cyclotomic(7), on quaternion x cyclotomic(7), and on a
 quaternion factor with the whole group as a decomposition group (P = 5,
 Q = 21, (5/3) = -1), which the product formula rejects.  It prints one
@@ -20,7 +21,7 @@ line per group, with the number of commands and a SHA-256 of their
 
     workloads commands=<n> sha256=<hex>
     probes commands=18 sha256=<hex>
-    landau commands=2 sha256=<hex>
+    landau commands=4 sha256=<hex>
     products commands=6 sha256=<hex>
 
 For ``landau search`` the standard output is the JSON with its
@@ -57,7 +58,8 @@ _spec.loader.exec_module(inputs)
 WORKLOADS = ("tau_cap", "tau_sweep", "oracle_verify")
 PROBE_GENERATORS = ([5], ["abc"], [{"a": 1}], [None], [[[0, 1], 2]], [[0, [1, 2]]])
 PROBE_COMMANDS = (["tau", "datum"], ["oracle", "verify"], ["classify"])
-LANDAU_SIZES = ((10 ** 5, 100), (2000, 300))
+# (a_max, b_max, threads) of each landau search
+LANDAU_RUNS = ((10 ** 5, 100, 1), (10 ** 5, 100, 2), (2000, 300, 1), (0, 100, 1))
 # disjoint Landau pairs (P, Q) for the quaternion families, and a
 # quaternion (P, Q) whose datum has a non-cyclic decomposition group
 LANDAU_FAMILY = ((5, 181), (17, 613), (37, 149))
@@ -83,7 +85,8 @@ def probe_plans():
 
 def landau_plans():
     argvs = [["landau", "search", "--a-max", str(a_max), "--b-max", str(b_max),
-              "--out", f"pairs_{a_max}_{b_max}.csv"] for a_max, b_max in LANDAU_SIZES]
+              "--threads", str(threads), "--out", f"pairs_{a_max}_{b_max}_{threads}.csv"]
+             for a_max, b_max, threads in LANDAU_RUNS]
     return [({}, argvs)]
 
 

@@ -155,8 +155,8 @@ def _landau_search(args):
         }
         if handle:
             handle.truncate(0)
-            handle.writelines(f"{pair.a},{pair.p},{pair.b},{pair.q}\n"
-                              for pair in result.pairs)
+            rows = result.table.ravel().tolist()
+            handle.write("%d,%d,%d,%d\n" * result.pair_count % tuple(rows))
             payload["out"] = args.out
     formats.validate_against("landau.schema.json", payload)
     _emit(payload)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all cmtori modules.
 
 Exit codes used by the CLI: 0 success, 2 usage, 3 invalid datum/group,
-4 fast path unavailable, 5 budget, 6 overflow.
+4 fast path unavailable, 5 budget, 6 search range (63-bit overflow or
+the p-sieve's memory bound).
 """
 
 
@@ -49,7 +50,8 @@ class BudgetExceededError(CmtoriError):
 
 
 class SearchRangeError(CmtoriError):
-    """A prime-search value left the supported 64-bit range."""
+    """A prime-search value left the supported 64-bit range, or a search
+    range would need a p-sieve above its memory bound."""
 
     code = 6
 

@@ -22,7 +22,9 @@ It walks a in blocks of ``_BLOCK`` values.
   l <= sqrt(p) <= the bound, l != p, so some root of l strikes it; and
   a prime p is struck only by l = p, which re-admits it.  The roots are
   computed once per bound, as c^((l-1)/4) for the least non-residue c,
-  which is prime.
+  which is prime.  The flags, primes and roots take ``_sieve_bytes`` of
+  the bound, and ``search`` refuses a range whose bound needs more than
+  ``_SIEVE_MEMORY``, before it allocates anything.
 - q-stage sieve: one table per odd prime l below ``_SIEVE_BOUND``,
   indexed by p mod l, whose bit i is set when l | 1 + p b^2 for the
   i-th even b of a window of 64.  The OR of the tables over all l marks
@@ -45,14 +47,21 @@ It walks a in blocks of ``_BLOCK`` values.
   p^2 > p b^2 = q - 1, so p >= sqrt(q).  Hence every prime factor of q
   exceeds sqrt(q), and q is prime.  A q that no base decides, and every
   q with p <= b^2 or q < ``_SIEVE_BOUND``, goes to ``is_prime_u64``.
-- Arithmetic: every power is c^e for a small integer c, mod an array of
-  odd moduli m below 2^63 (``search`` guarantees this for q), on uint64
-  arrays.  Left to right over the bits of e, each bit costs one
-  Montgomery squaring (Math. Comp. 44, 1985), with the high word of the
-  128-bit square built from 32-bit limbs and the limbs of m computed
+- Rows: each (window, block) stacks the rows (a, p, b, q) it keeps into
+  an int64 array, a chunk returns their concatenation, and ``search``
+  sorts all of them by (p, q) into one read-only array of shape (n, 4),
+  the ``table`` of its result.  No Python object is made per pair unless
+  a caller asks for ``SearchResult.pairs``.
+- Arithmetic: the q-stage powers are c^e for a small integer c, mod an
+  array of odd moduli m below 2^63 (``search`` guarantees this for q),
+  on uint64 arrays.  Left to right over the bits of e, each bit costs
+  one Montgomery squaring (Math. Comp. 44, 1985), with the high word of
+  the 128-bit square built from 32-bit limbs and the limbs of m computed
   once per power; where the bit is set, the square is multiplied by c
   through doublings and additions mod m (one doubling for c = 2), exact
-  because 2m < 2^64.
+  because 2m < 2^64.  The p-roots and the inverses of the q tables need
+  no 128-bit arithmetic: their moduli are below 2^31, so ``_pow_mod``
+  takes plain int64 products, which stay below 2^62.
 """
 
 from __future__ import annotations
@@ -61,8 +70,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +91,9 @@ _SIEVE_BOUND = 1024
 # each); the smaller keeps a block's numpy arrays near 100 KiB
 _BLOCK = 8192
 _CERTIFY_BASES = (2, 3, 5, 7)
+# the most bytes the p-sieve of one process may take (``_sieve_bytes``);
+# the full-scale search, a <= 1e6, needs at most 7.2 MiB
+_SIEVE_MEMORY = 1 << 28
 
 
 def is_prime_u64(n: int) -> bool:
@@ -207,20 +219,21 @@ class LandauPair(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
-    pairs: tuple[LandauPair, ...]
+    """The pairs as a read-only int64 array ``table`` of rows (a, p, b, q),
+    in (p, q) order; ``pairs`` gives them as ``LandauPair`` tuples."""
+
+    table: np.ndarray = field(repr=False)  # up to hundreds of thousands of rows
     pair_count: int
     distinct_p_count: int
     a_max: int
     b_max: int
     elapsed_ms: int
 
-    def __repr__(self):
-        # the pair list runs to hundreds of thousands of entries at full scale
-        return (f"SearchResult(pair_count={self.pair_count}, "
-                f"distinct_p_count={self.distinct_p_count}, a_max={self.a_max}, "
-                f"b_max={self.b_max}, elapsed_ms={self.elapsed_ms})")
+    @cached_property
+    def pairs(self) -> tuple[LandauPair, ...]:
+        return tuple(map(LandauPair._make, self.table.tolist()))
 
 
 def _primes_upto(n):
@@ -247,17 +260,13 @@ def _sieve_primes():
 @lru_cache(maxsize=1)
 def _q_table(window):
     """Row offset(l) + (p mod l), bit i: l | 1 + p b^2 for b = 128 window + 2i + 2."""
-    ells, offsets = _sieve_primes()
-    rows, bits = [], []
-    for ell, offset in zip(ells, offsets):
-        for i in range(64):
-            b = 128 * window + 2 * i + 2
-            if b % ell:
-                # l | 1 + p b^2 exactly when p = -1/b^2 (mod l)
-                rows.append(offset + pow(-b * b, -1, ell))
-                bits.append(1 << i)
-    table = np.zeros(offsets[-1] + ells[-1], dtype=np.uint64)
-    np.bitwise_or.at(table, rows, np.array(bits, dtype=np.uint64))
+    ells, offsets = (np.array(v)[:, None] for v in _sieve_primes())
+    b = (128 * window + 2 + 2 * np.arange(64)) % ells
+    # l | 1 + p b^2 exactly when p = -1/b^2 = (-b^2)^(l-2) (mod l), for b != 0
+    rows = offsets + _pow_mod(-b * b % ells, ells - 2, ells)
+    bits = np.broadcast_to(np.uint64(1) << np.arange(64, dtype=np.uint64), b.shape)
+    table = np.zeros(offsets[-1, 0] + ells[-1, 0], dtype=np.uint64)
+    np.bitwise_or.at(table, rows[b != 0], bits[b != 0])
     table.flags.writeable = False
     return table
 
@@ -312,11 +321,6 @@ def _redc(high, low, mod):
     return np.minimum(t, t + mod.m)  # a negative t wraps to above t + m
 
 
-def _mont_mul(x, y, mod):
-    """x y / 2^64 mod m for x, y < m, elementwise."""
-    return _redc(_mulhi(x, y & _LOW32, y >> _SHIFT32), x * y, mod)
-
-
 def _mont_sqr(x, mod):
     """x^2 / 2^64 mod m for x < m, elementwise.  x < 2^63, so the cross term
     2 x0 x1 of the limbs fits in 64 bits."""
@@ -341,16 +345,31 @@ def _mont_pow_small(c, e, mod):
     return out
 
 
+def _pow_mod(x, e, m):
+    """x^e mod m elementwise, for int64 arrays (or ints) 0 <= x, e and
+    1 < m < 2^31, left to right over the bits of the largest e.  Every
+    product is of two numbers below 2^31, so below 2^62, and ``x y % m``
+    is exact in int64."""
+    out = np.ones_like(m)
+    for k in range(int(np.max(e)).bit_length() - 1, -1, -1):
+        out = out * out % m
+        out = np.where(e >> k & 1, out * x % m, out)
+    return out
+
+
 @lru_cache(maxsize=1)
 def _p_roots(bound):
-    """The primes l = 1 (mod 4) up to ``bound``, once for each root r of
-    4 r^2 + 1 = 0 (mod l), with those roots; the index of the first
-    l >= ``_BLOCK``; and the a with 1 + 4a^2 a prime up to ``bound``."""
+    """The primes l = 1 (mod 4) up to ``bound`` < 2^31, once for each root
+    r of 4 r^2 + 1 = 0 (mod l), with those roots; the index of the first
+    l >= ``_BLOCK``; and the a with 1 + 4a^2 a prime up to ``bound``.
+
+    ``search`` keeps ``bound`` below 2^31: with b_max >= 2, its 63-bit
+    check gives 4 (1 + 4 a_max^2) < 2^63, so bound <= isqrt(1 + 4 a_max^2)
+    < 2^30.5, and ``_pow_mod`` is exact for every l."""
     ells = _primes_upto(bound)
     ells = ells[ells % 4 == 1]
-    half = np.zeros(len(ells), dtype=np.uint64)
+    half = np.zeros(len(ells), dtype=np.int64)
     todo = np.arange(len(ells))
-    mod = _montgomery(ells.astype(np.uint64))
     # The least non-residue c mod l is prime: were every prime below c a
     # residue, so would be every product of them, that is every integer
     # below c.  And it is below sqrt(l) + 1.
@@ -358,13 +377,12 @@ def _p_roots(bound):
         if not len(todo):
             break
         # i = c^((l-1)/4) has i^2 = -1 (mod l) exactly when c is a non-residue
-        i = _mont_pow_small(c, mod.m >> np.uint64(2), mod)
-        hit = _mont_sqr(i, mod) == mod.m - mod.one
-        # i (l + 1)/2 / 2^64 = i/2 (mod l), out of Montgomery form
-        found = mod.take(hit)
-        half[todo[hit]] = _mont_mul(i[hit], (found.m + _ONE) >> _ONE, found)
-        todo, mod = todo[~hit], mod.take(~hit)
-    half = half.astype(np.int64)
+        m = ells[todo]
+        i = _pow_mod(c, m >> 2, m)
+        hit = i * i % m == m - 1
+        # i (l + 1)/2 = i/2 (mod l)
+        half[todo[hit]] = i[hit] * (m[hit] + 1 >> 1) % m[hit]
+        todo = todo[~hit]
     ells, roots = np.repeat(ells, 2), np.stack([half, ells - half], axis=1).ravel()
     # the a = r whose p is l itself; r < l < 2^31, so a wrapped 4r^2 + 1 never equals l
     self_prime = roots[4 * roots * roots + 1 == ells]
@@ -427,21 +445,20 @@ def _certify_batch(q, b2):
 
 
 def _scan_chunk(args):
-    """The pairs (a, p, b, q) with a_lo <= a < a_hi and even b <= b_max:
-    the p-sieve block by block of a, then window by window of 64 even b,
-    each window over every block, so that its q table is built once."""
+    """The pairs with a_lo <= a < a_hi and even b <= b_max, for a_lo < a_hi
+    and b_max >= 2, as an int64 array of rows (a, p, b, q): the p-sieve
+    block by block of a, then window by window of 64 even b, each window
+    over every block, so that its q table is built once."""
     a_lo, a_hi, b_max = args
     half = b_max // 2  # the number of even b
     bound = math.isqrt(1 + 4 * (a_hi - 1) ** 2)
     blocks = []
     for lo in range(a_lo, a_hi, _BLOCK):
         a = _sieve_p(lo, min(lo + _BLOCK, a_hi), bound)
-        p = 1 + 4 * a * a
-        # the rows of one p share its int objects, as the tuples are kept
-        blocks.append((p, a.tolist(), p.tolist()))
+        blocks.append((a, 1 + 4 * a * a))
     found = []
     for window in range((half + 63) // 64):
-        for p, a_list, p_list in blocks:
+        for a, p in blocks:
             rows, b = _sieve_q(p, window, min(64, half - 64 * window))
             pr, b2 = p[rows], b * b
             q = 1 + pr * b2
@@ -451,17 +468,27 @@ def _scan_chunk(args):
             for k in np.flatnonzero(verdict < 0).tolist():
                 verdict[k] = is_prime_u64(int(q[k]))
             keep = verdict == 1
-            rows = rows[keep].tolist()
-            found.extend(zip(map(a_list.__getitem__, rows), map(p_list.__getitem__, rows),
-                             b[keep].tolist(), q[keep].tolist()))
-    return found
+            found.append(np.stack([a[rows[keep]], pr[keep], b[keep], q[keep]], axis=1))
+    return np.concatenate(found)
+
+
+def _sieve_bytes(bound):
+    """An upper bound on the bytes that the p-sieve of one process holds at
+    once for a ``bound``: bound + 1 + 32 pi(bound), with
+    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, Illinois J. Math. 6,
+    1962).  The first term is the Eratosthenes flags; the second, the
+    primes, roots, their temporaries and each block's offsets, which
+    tracemalloc measured at 17 to 23 bytes per prime for a = 1e5 to 2e7."""
+    return bound + 1 + 32 * math.ceil(1.25506 * bound / math.log(max(bound, 2)))
 
 
 def search(a_max: int, b_max: int, workers: int = 1) -> SearchResult:
     """Enumerate Landau pairs with p = 1 + 4a^2, a <= a_max, b <= b_max.
 
     The output ordering (by (p, q)) and both counts are independent of
-    the worker count, which is clamped to the number of CPUs.
+    the worker count, which is clamped to the number of CPUs.  A range
+    whose p-sieve (``_sieve_bytes`` of isqrt(1 + 4 a_max^2), per worker)
+    exceeds ``_SIEVE_MEMORY`` is refused before anything is allocated.
     """
     if a_max < 0 or b_max < 0:
         raise DatumError("search bounds must be nonnegative")
@@ -472,24 +499,29 @@ def search(a_max: int, b_max: int, workers: int = 1) -> SearchResult:
     if top_q >= _SIGNED_LIMIT:
         raise SearchRangeError("search range overflows 63-bit q values",
                                max_q=top_q)
+    sieve_bytes = _sieve_bytes(math.isqrt(1 + 4 * a_max * a_max))
+    if b_max >= 2 and sieve_bytes > _SIEVE_MEMORY:
+        raise SearchRangeError("search range needs a larger p-sieve than the memory bound",
+                               sieve_bytes=sieve_bytes, limit_bytes=_SIEVE_MEMORY)
     start = time.monotonic()
-    rows = []
+    parts = []
     if a_max >= 1 and b_max >= 2:
         if workers == 1:
-            rows = _scan_chunk((1, a_max + 1, b_max))
+            parts = [_scan_chunk((1, a_max + 1, b_max))]
         else:
             chunk = max(1, (a_max + workers * 4 - 1) // (workers * 4))
             tasks = [(lo, min(lo + chunk, a_max + 1), b_max)
                      for lo in range(1, a_max + 1, chunk)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_scan_chunk, tasks):
-                    rows.extend(part)
-    # p rises with a and q with b, so (a, p, b, q) sorts as (p, q)
-    rows.sort()
-    pairs = tuple(map(LandauPair._make, rows))
-    distinct = len({r[1] for r in rows})
+                parts = list(pool.map(_scan_chunk, tasks))
+    table = np.concatenate([np.empty((0, 4), dtype=np.int64), *parts])
+    # p rises with a and q with b, so the key a (b_max + 1) + b orders the
+    # rows by (p, q); q < 2^63 forces a b < 2^31, so the key fits int64
+    table = table[np.argsort(table[:, 0] * (b_max + 1) + table[:, 2], kind="stable")]
+    table.flags.writeable = False
+    distinct = 1 + int(np.count_nonzero(np.diff(table[:, 1]))) if len(table) else 0
     elapsed = int((time.monotonic() - start) * 1000)
-    return SearchResult(pairs, len(pairs), distinct, a_max, b_max, elapsed)
+    return SearchResult(table, len(table), distinct, a_max, b_max, elapsed)
 
 
 def disjoint_family(pairs, r: int):

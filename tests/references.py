@@ -12,6 +12,10 @@ compare those with:
 - H^1 of a CM torus from the parities of CM types;
 - the commutator subgroup, generated by all commutators;
 - the p of a Landau pair, as the squarefree part of q - 1;
+- the CSV of ``landau search --out`` by one f-string per ``LandauPair``,
+  which the CLI writes from the search's table in one format, and the q
+  table of a window by a loop over every sieving prime and b, which the
+  program builds by numpy;
 - the direct sum of finite abelian groups by lattice elimination;
 - the combined datum of a product pipeline on the Cayley table of the
   product group, with its report and primitive-inclusion test;
@@ -246,6 +250,23 @@ def squarefree_part(n: int) -> int:
 def p_from_q(q: int) -> int:
     """The p of a Landau pair is the squarefree part of q - 1."""
     return squarefree_part(q - 1)
+
+
+def landau_csv(pairs) -> str:
+    """Rows a,p,b,q of Landau pairs, one line each."""
+    return "".join(f"{pair.a},{pair.p},{pair.b},{pair.q}\n" for pair in pairs)
+
+
+def q_table_by_loop(ells, offsets, window):
+    """Row offset(l) + (p mod l), bit i: l | 1 + p b^2 for b = 128 window + 2i + 2."""
+    table = np.zeros(offsets[-1] + ells[-1], dtype=np.uint64)
+    for ell, offset in zip(ells, offsets):
+        for i in range(64):
+            b = 128 * window + 2 * i + 2
+            if b % ell:
+                # l | 1 + p b^2 exactly when p = -1/b^2 (mod l)
+                table[offset + pow(-b * b, -1, ell)] |= np.uint64(1 << i)
+    return table
 
 
 def direct_sum_by_elimination(parts) -> FinAb:

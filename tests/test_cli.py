@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from corpus import cyclic_cm, empty_pairs_datum, noncm_coprime_product, q8_cm
-from cmtori import cli, formats
+from cmtori import cli, formats, landau
 from cmtori.cli import main
 from cmtori.landau import is_prime_u64
 
@@ -55,14 +56,25 @@ def test_tau_cyclotomic_past_the_table_cap():
 # unbounded allocation fails the child, not the host
 _LIMITED_CLI = """
 import contextlib, io, json, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from cmtori.cli import main
-for arg in sys.argv[1:]:
+for arg in sys.argv[2:]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["tau", "cyclotomic", arg])
-    print(json.dumps([arg, code, json.loads(buf.getvalue())]))
+        code = main(json.loads(arg))
+    print(json.dumps([json.loads(arg), code, json.loads(buf.getvalue())]))
 """
+
+
+def _run_limited(limit, argvs):
+    """(argv, exit code, JSON output) of each command, run in one child
+    whose address space is ``limit`` bytes; none may end in a traceback."""
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, str(limit),
+                           *map(json.dumps, argvs)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def test_tau_cyclotomic_adversarial_n_end_quickly():
@@ -81,16 +93,35 @@ def test_tau_cyclotomic_adversarial_n_end_quickly():
     while not is_prime_u64(big):
         big += 2 ** 32
     values = [2 ** 62, 3 ** 39, many, big, 2147483647 * 2147483629, 2 ** 63 - 1, 2 ** 63]
-    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *map(str, values)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [int(arg) for arg, _, _ in rows] == values
-    for arg, code, payload in rows:
+    rows = _run_limited(1 << 31, [["tau", "cyclotomic", str(n)] for n in values])
+    assert [int(argv[2]) for argv, _, _ in rows] == values
+    for (*_, arg), code, payload in rows:
         if int(arg) >= 2 ** 63:
             assert code == 3 and payload["error"]["context"] == {"n": int(arg)}
         else:
             assert code == 0 and payload["agrees"] is True, arg
+
+
+def test_landau_search_refuses_a_p_sieve_past_its_memory_bound(tmp_path):
+    """Ranges inside the 63-bit check whose p-sieve would exceed the bound
+    (a <= 7e8 asked numpy for 1.3 GiB) exit 6 before any allocation, under
+    a 1 GiB address space, and leave the output file as it was; b <= 1
+    needs no sieve and exits 0."""
+    out = tmp_path / "pairs.csv"
+    out.write_text("kept\n")
+    sizes = [(7 * 10 ** 8, 2), (5 * 10 ** 8, 3)]
+    argvs = [["landau", "search", "--a-max", str(a_max), "--b-max", str(b_max),
+              "--out", str(out)] for a_max, b_max in sizes]
+    rows = _run_limited(1 << 30, argvs + [["landau", "search", "--a-max", str(7 * 10 ** 8),
+                                           "--b-max", "1"]])
+    assert [code for _, code, _ in rows] == [6, 6, 0]
+    for (a_max, _), (_, _, payload) in zip(sizes, rows):
+        assert payload["error"]["context"] == {
+            "sieve_bytes": landau._sieve_bytes(math.isqrt(1 + 4 * a_max * a_max)),
+            "limit_bytes": landau._SIEVE_MEMORY}
+    assert rows[2][2]["pair_count"] == 0 and out.read_text() == "kept\n"
+    # the documented full-scale search is far below the bound
+    assert 16 * landau._sieve_bytes(math.isqrt(1 + 4 * 10 ** 12)) < landau._SIEVE_MEMORY
 
 
 def test_tau_q8():

@@ -1,10 +1,13 @@
+import json
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from references import p_from_q
-from cmtori import landau
+from references import landau_csv, p_from_q, q_table_by_loop
+from cmtori import cli, landau
 from cmtori.errors import DatumError, SearchRangeError
 from cmtori.landau import (
     LandauPair,
@@ -36,11 +39,12 @@ def _reference_scan(a_lo, a_hi, b_max):
 
 
 def _rows(result):
-    return [(pair.a, pair.p, pair.b, pair.q) for pair in result.pairs]
+    return tuple((pair.a, pair.p, pair.b, pair.q) for pair in result.pairs)
 
 
+@lru_cache(maxsize=None)
 def _reference_rows(a_max, b_max):
-    return sorted(_reference_scan(1, a_max + 1, b_max), key=lambda r: (r[1], r[3]))
+    return tuple(sorted(_reference_scan(1, a_max + 1, b_max), key=lambda r: (r[1], r[3])))
 
 
 def sieve(limit):
@@ -117,6 +121,17 @@ def test_search_result_repr_omits_pairs():
         f"elapsed_ms={res.elapsed_ms})")
 
 
+def test_search_table_is_read_only_and_gives_the_pairs():
+    res = search(200, 300)
+    table = res.table
+    assert table.dtype == np.int64 and table.shape == (res.pair_count, 4)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    assert res.pairs == tuple(LandauPair(*row) for row in table.tolist())
+    assert res.pairs is res.pairs
+
+
 def test_search_empty_range():
     res = search(0, 100)
     assert res.pair_count == 0 and res.distinct_p_count == 0
@@ -134,6 +149,21 @@ def test_search_monotone_in_bounds():
                                           (40, 2), (40, 3)])
 def test_search_matches_reference_scan(a_max, b_max):
     assert _rows(search(a_max, b_max)) == _reference_rows(a_max, b_max)
+
+
+# the sizes above and the empty range, through the CLI on one and two workers
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("a_max, b_max", [(2000, 100), (200, 300), (49, 100),
+                                          (40, 2), (40, 3), (0, 100)])
+def test_cli_csv_matches_tuple_writer(a_max, b_max, workers, tmp_path, capsys):
+    rows = _reference_rows(a_max, b_max)
+    out = tmp_path / "pairs.csv"
+    assert cli.main(["landau", "search", "--a-max", str(a_max), "--b-max", str(b_max),
+                     "--threads", str(workers), "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["pair_count"], payload["distinct_p_count"]) == (
+        len(rows), len({row[1] for row in rows}))
+    assert out.read_bytes() == landau_csv(map(LandauPair._make, rows)).encode()
 
 
 def test_search_keeps_sieving_primes_as_p_and_q():
@@ -203,20 +233,12 @@ def _residues(seed):
     return [(m, (0, 1, m - 1, int(rng.integers(0, m, dtype=np.uint64)))) for m in _moduli()]
 
 
-def test_montgomery_mulmod_matches_python_pow():
-    xs, ys, ms = zip(*[(x, y, m) for m, picks in _residues(7) for x in picks for y in picks])
+def test_montgomery_sqrmod_matches_python_pow():
+    xs, ms = zip(*[(x, m) for m, picks in _residues(9) for x in picks])
     mod = landau._montgomery(np.array(ms, dtype=np.uint64))
     assert [n * k % (1 << 64) for n, k in zip(ms, mod.inv.tolist())] == [1] * len(ms)
     assert mod.one.tolist() == [(1 << 64) % n for n in ms]
     assert [lo + (hi << 32) for lo, hi in zip(mod.m0.tolist(), mod.m1.tolist())] == list(ms)
-    got = landau._mont_mul(np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64),
-                           mod).tolist()
-    assert got == [x * y * pow(1 << 64, -1, n) % n for x, y, n in zip(xs, ys, ms)]
-
-
-def test_montgomery_sqrmod_matches_python_pow():
-    xs, ms = zip(*[(x, m) for m, picks in _residues(9) for x in picks])
-    mod = landau._montgomery(np.array(ms, dtype=np.uint64))
     got = landau._mont_sqr(np.array(xs, dtype=np.uint64), mod).tolist()
     assert got == [x * x * pow(1 << 64, -1, n) % n for x, n in zip(xs, ms)]
 
@@ -233,6 +255,22 @@ def test_montgomery_powmod_matches_python_pow():
         assert got == [(pow(c, e, n) << 64) % n for e, n in zip(es, ms)], c
 
 
+def test_int64_powmod_matches_python_pow_below_2_31():
+    # the largest moduli _pow_mod is sound for: every product is below 2^62
+    rng = np.random.default_rng(31)
+    ms = [(1 << 31) - 1, (1 << 31) - 19, (1 << 31) - 2, 5, 3] + [
+        int(m) for m in rng.integers((1 << 31) - 10 ** 6, 1 << 31, size=200)]
+    xs, es, mods = [], [], []
+    for m in ms:
+        for x in (0, 1, 2, m - 1, int(rng.integers(0, m))):
+            for e in (0, 1, m - 1, m - 2, (m - 1) // 4, int(rng.integers(0, 1 << 31))):
+                xs.append(x), es.append(e), mods.append(m)
+    x, e, m = (np.array(v, dtype=np.int64) for v in (xs, es, mods))
+    assert landau._pow_mod(x, e, m).tolist() == [pow(*t) for t in zip(xs, es, mods)]
+    # a small integer base, as the p-roots use it
+    assert landau._pow_mod(7, e, m).tolist() == [pow(7, *t) for t in zip(es, mods)]
+
+
 def test_p_roots_give_both_roots_of_every_prime():
     bound = 20000
     ells, roots, split, self_prime = landau._p_roots(bound)
@@ -246,6 +284,12 @@ def test_p_roots_give_both_roots_of_every_prime():
                                    and 1 + 4 * r * r <= bound]
 
 
+def test_q_table_matches_loop_reference():
+    ells, offsets = landau._sieve_primes()
+    for window in (0, 1, 2, 7, 10 ** 6):
+        assert (landau._q_table(window) == q_table_by_loop(ells, offsets, window)).all()
+
+
 def test_q_table_built_once_per_window():
     # five windows of 64 even b over two blocks of a, in one chunk: more
     # windows than a four-table cache holds, were it filled block by block
@@ -253,6 +297,19 @@ def test_q_table_built_once_per_window():
     landau._q_table.cache_clear()
     assert _rows(search(9000, 600)) == _reference_rows(9000, 600)
     assert landau._q_table.cache_info().misses == 5
+
+
+def test_p_sieve_stays_within_its_predicted_bytes():
+    a = 10 ** 6
+    bound = math.isqrt(1 + 4 * a * a)
+    landau._p_roots.cache_clear()
+    tracemalloc.start()
+    try:
+        landau._sieve_p(a - landau._BLOCK, a, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= landau._sieve_bytes(bound)
 
 
 def _sieve_p_matches_primality(starts, hi_max):

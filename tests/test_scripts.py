@@ -26,10 +26,11 @@ def test_quartiles_of_one_sample():
 def test_landau_cost_with_one_run(tmp_path):
     out = tmp_path / "landau.json"
     subprocess.run([sys.executable, str(SCRIPTS / "landau_cost.py"), "--runs", "1",
-                    "--a-max", "300", "--out", str(out)], check=True, capture_output=True)
-    (size,) = json.loads(out.read_text())["sizes"]
+                    "--size", "300", "100", "1", "--size", "300", "100", "2",
+                    "--out", str(out)], check=True, capture_output=True)
+    size, two = json.loads(out.read_text())["sizes"]
     counts = size["counts"]
-    assert counts["pairs"] == search(300, 100).pair_count
+    assert counts["pairs"] == two["counts"]["pairs"] == search(300, 100).pair_count
     # the p-sieve is complete: its survivors are the primes, with no test
     assert counts["p_tests"] == 0
     assert counts["primes_p"] == counts["p_sieve_survivors"] <= counts["p_grid"] == 300
@@ -39,7 +40,12 @@ def test_landau_cost_with_one_run(tmp_path):
     assert counts["certified"] + counts["q_fallbacks"] >= counts["pairs"]
     assert counts["is_prime_calls"] == counts["p_tests"] + counts["q_fallbacks"]
     assert counts["q_tables"] == 1  # b <= 100 is one window of 64 even b
-    assert size["search_s"]["q1"] == size["search_s"]["median"] == size["search_s"]["q3"]
+    for row, workers in ((size, 1), (two, 2)):
+        assert row["workers"] == workers and row["runs"] == 1
+        for field in ("search_s", "cli_s"):
+            assert row[field]["q1"] == row[field]["median"] == row[field]["q3"] > 0
+    # the stages are traced on one worker only
+    assert "stages_s" in size and "stages_s" not in two
 
 
 def test_oracle_cost_child_reports_both_d1_shapes():
@@ -65,7 +71,7 @@ def test_cli_digest_repeats_on_oracle_verify():
     workloads, probes, landau, products = runs[0].splitlines()
     assert workloads.startswith("workloads commands=28 sha256=")
     assert probes.startswith("probes commands=18 sha256=")
-    assert landau.startswith("landau commands=2 sha256=")
+    assert landau.startswith("landau commands=4 sha256=")
     assert products.startswith("products commands=6 sha256=")
 
 
